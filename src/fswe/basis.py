@@ -54,13 +54,18 @@ class EigenBasis:
 
     @property
     def quad_weights(self) -> np.ndarray:
-        """Trapezoid weights matching grid_points, shape (n_nodes,)."""
-        h = 1.0 / (self.grid_size - 1)
-        w = np.full(self.grid_size, h)
-        w[0] = w[-1] = h / 2.0
-        if self.dimension == 1:
-            return w
-        return np.outer(w, w).ravel()
+        """Trapezoid weights matching grid_points, shape (n_nodes,).
+
+        Built once per basis and returned read-only."""
+        if "weights" not in self._grid_cache:
+            h = 1.0 / (self.grid_size - 1)
+            w = np.full(self.grid_size, h)
+            w[0] = w[-1] = h / 2.0
+            if self.dimension == 2:
+                w = np.outer(w, w).ravel()
+            w.flags.writeable = False
+            self._grid_cache["weights"] = w
+        return self._grid_cache["weights"]
 
     def evaluate_modes(self, points: np.ndarray) -> np.ndarray:
         """Values e_k(x) for all modes, shape (M, n_points).
@@ -82,13 +87,65 @@ class EigenBasis:
             )
         return vals
 
-    # cached mode values on the quadrature grid, used heavily by the solver
+    # quadrature weights and the 1-D sine tables on nodes and cell centres
     _grid_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def modes_on_grid(self) -> np.ndarray:
-        if "grid" not in self._grid_cache:
-            self._grid_cache["grid"] = self.evaluate_modes(self.grid_points)
-        return self._grid_cache["grid"]
+    @property
+    def kmax(self) -> int:
+        """Largest 1-D wave number among the modes."""
+        return int(self.multi_indices.max())
+
+    @property
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k1-1, k2-1) per mode: its entry of a (kmax, kmax) matrix (d=2)."""
+        return self.multi_indices[:, 0] - 1, self.multi_indices[:, 1] - 1
+
+    def _sine_table(self, where: str) -> np.ndarray:
+        """(kmax, n1) values sqrt(2) sin(k pi x) on the 1-D grid nodes
+        (where="grid") or cell centres (where="cells"); in d=1 this is the
+        full mode table."""
+        if where not in self._grid_cache:
+            g = self.grid_1d
+            if where == "grid":
+                x = g
+            elif where == "cells":
+                x = 0.5 * (g[:-1] + g[1:])
+            else:
+                raise BasisError(f"unknown location {where!r}")
+            table = sine_table(self.kmax, x)
+            table.flags.writeable = False
+            self._grid_cache[where] = table
+        return self._grid_cache[where]
+
+    def synthesize(self, u: np.ndarray, where: str = "grid") -> np.ndarray:
+        """Field values sum_k u_k e_k at every node or cell centre, in the
+        flattened order of grid_points / cell_centers.
+
+        u has shape (..., M); the result has shape (..., n_points). In d=2
+        the sum runs as S.T @ C @ S over the (kmax, kmax) coefficient
+        matrix C, so no (M, n_points) table is formed.
+        """
+        S = self._sine_table(where)
+        if self.dimension == 1:
+            return u @ S
+        u = np.asarray(u)
+        C = np.zeros(u.shape[:-1] + (len(S), len(S)))
+        i1, i2 = self._pair_index
+        C[..., i1, i2] = u
+        return (S.T @ C @ S).reshape(u.shape[:-1] + (-1,))
+
+    def analyze(self, v: np.ndarray, where: str = "grid") -> np.ndarray:
+        """Transpose of synthesize: sum_x e_k(x) v(x) over the nodes or cell
+        centres, shape (M,). Quadrature weights are the caller's to apply.
+
+        In d=2 it reads the mode entries of S @ V @ S.T, V the values
+        reshaped to (n1, n1).
+        """
+        S = self._sine_table(where)
+        if self.dimension == 1:
+            return S @ v
+        n1 = S.shape[1]
+        return (S @ np.reshape(v, (n1, n1)) @ S.T)[self._pair_index]
 
     # ---- cells (between grid nodes), used for the Gaussian noise surrogate ----
 
@@ -110,11 +167,6 @@ class EigenBasis:
         xx, yy = np.meshgrid(c, c, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    def modes_on_cells(self) -> np.ndarray:
-        if "cells" not in self._grid_cache:
-            self._grid_cache["cells"] = self.evaluate_modes(self.cell_centers)
-        return self._grid_cache["cells"]
-
 
 @dataclass
 class SpectralField:
@@ -131,6 +183,11 @@ class SpectralField:
                 f"expected {self.basis.mode_count} coefficients, "
                 f"got shape {self.coefficients.shape}"
             )
+
+
+def sine_table(kmax: int, x: np.ndarray) -> np.ndarray:
+    """Values sqrt(2) sin(k pi x) for k = 1..kmax, shape (kmax, len(x))."""
+    return math.sqrt(2.0) * np.sin(np.pi * np.outer(np.arange(1, kmax + 1), x))
 
 
 def build_basis(d: int, M: int, grid_size: int | None = None) -> EigenBasis:
@@ -230,20 +287,20 @@ def embedding_constant(basis: EigenBasis, r: float,
         )
     if grid_size is None:
         grid_size = basis.grid_size
-    g = np.linspace(0.0, 1.0, grid_size)
-    if d == 1:
-        points = g[:, None]
-    else:
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        points = np.column_stack([xx.ravel(), yy.ravel()])
-    modes = basis.evaluate_modes(points)  # (M, n)
+    Q = sine_table(basis.kmax, np.linspace(0.0, 1.0, grid_size)) ** 2
     lam_w = basis.eigenvalues ** (-r)
-    kernel = lam_w @ modes**2
+    if d == 1:
+        kernel = lam_w @ Q
+    else:
+        # e_k(x, y)^2 = Q[k1, x] Q[k2, y]: the kernel is Q.T @ W @ Q
+        W = np.zeros((basis.kmax, basis.kmax))
+        W[basis._pair_index] = lam_w
+        kernel = Q.T @ W @ Q
     value = float(np.sqrt(kernel.max()))
     crude = float(np.sqrt(2**d * lambda_power_sum(basis, -r)))
     tail = float(np.sqrt(2**d * lambda_power_tail(basis, -r)))
     return EmbeddingConstant(value=value, upper_bound=crude, tail_bound=tail,
-                             probe_points=len(points))
+                             probe_points=grid_size**d)
 
 
 def evaluate(fld: SpectralField, points: np.ndarray) -> np.ndarray:
@@ -263,5 +320,5 @@ def project(samples: np.ndarray, basis: EigenBasis) -> SpectralField:
         raise BasisError(
             f"expected {n_nodes} grid samples, got shape {samples.shape}"
         )
-    coeffs = basis.modes_on_grid() @ (basis.quad_weights * samples)
+    coeffs = basis.analyze(basis.quad_weights * samples)
     return SpectralField(basis=basis, coefficients=coeffs)

@@ -27,8 +27,8 @@ import numpy as np
 from .basis import build_basis
 from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, export_path,
                     sample_path, spec_from_dict, spec_to_dict)
-from .solver import (COEFFICIENT_PRESETS, SolveSetup, Trajectory, make_setup,
-                     paste_over_K, paste_over_N)
+from .solver import (COEFFICIENT_PRESETS, SolveSetup, Trajectory,
+                     check_exponents, make_setup, paste_over_K, paste_over_N)
 from . import verify as verify_mod
 
 
@@ -60,14 +60,7 @@ class RunConfig:
         d = self.dimension
         if d not in (1, 2):
             raise ConfigError(f"dimension must be 1 or 2, got {d}")
-        if self.gamma <= d:
-            raise ConfigError(
-                f"gamma > d required: gamma={self.gamma}, d={d}")
-        if not self.r > d / 2.0:
-            raise ConfigError(f"r > d/2 required: r={self.r}, d={d}")
-        if not self.r < self.gamma - d / 2.0:
-            raise ConfigError(
-                f"r < gamma - d/2 required: r={self.r}, gamma={self.gamma}")
+        check_exponents(d, self.gamma, self.r, ConfigError)
         if self.modes < 1 or self.n_steps < 1 or self.T <= 0:
             raise ConfigError("modes, n_steps must be >= 1 and T > 0")
         if self.coefficients not in COEFFICIENT_PRESETS:
@@ -201,7 +194,9 @@ def cmd_simulate(config: RunConfig, seed: int, out: Path) -> int:
 
 def cmd_noise(config: RunConfig, seed: int, out: Path) -> int:
     spec = config.levy_spec()
-    grid = config.grid_size or 257
+    # the same cells simulate uses: one per quadrature interval
+    grid = build_basis(config.dimension, config.modes,
+                       grid_size=config.grid_size).grid_size
     path = sample_path(spec, config.T, config.n_steps, seed,
                        cells_per_dim=grid - 1, dimension=config.dimension)
     out.mkdir(parents=True, exist_ok=True)

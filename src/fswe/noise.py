@@ -12,6 +12,7 @@ unit space-time.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -174,10 +175,19 @@ class NoisePath:
     def n_cells(self) -> int:
         return self.cells_per_dim**self.dimension
 
+    @functools.cached_property
+    def step_edges(self) -> np.ndarray:
+        """Step boundaries n dt, n = 0..n_steps; step n is the half-open
+        interval [n dt, (n+1) dt)."""
+        return np.arange(self.n_steps + 1) * self.dt
+
+    def step_of(self, times: np.ndarray) -> np.ndarray:
+        """Index n of the step with n dt <= t < (n+1) dt for each time."""
+        return np.searchsorted(self.step_edges, times, side="right") - 1
+
     def jumps_in_step(self, n: int) -> slice:
-        """Index slice of jumps with t in [n dt, (n+1) dt)."""
-        lo = np.searchsorted(self.jump_times, n * self.dt, side="left")
-        hi = np.searchsorted(self.jump_times, (n + 1) * self.dt, side="left")
+        """Index slice of the jumps that step_of assigns to step n."""
+        lo, hi = np.searchsorted(self.jump_times, self.step_edges[n:n + 2])
         return slice(lo, hi)
 
     def cell_index(self, positions: np.ndarray) -> np.ndarray:
@@ -282,8 +292,7 @@ def integrate_step_field(H: np.ndarray, path: NoisePath) -> float:
         )
     total = 0.0
     if len(path.jump_times):
-        steps = np.minimum((path.jump_times / path.dt).astype(int),
-                           path.n_steps - 1)
+        steps = np.minimum(path.step_of(path.jump_times), path.n_steps - 1)
         cells = path.cell_index(path.jump_positions)
         total += float(np.sum(H[steps, cells] * path.jump_sizes))
     # compensator of the exactly-simulated jumps (zero for symmetric specs)

@@ -106,6 +106,20 @@ def truncate_coefficients(pair: CoefficientPair, N: int,
 # ---------------------------------------------------------------------------
 # solver setup and state
 
+def check_exponents(d: int, gamma: float, r: float,
+                    error: type[ValueError] = SolverError) -> None:
+    """Raise ``error`` unless gamma > d and d/2 < r < gamma - d/2, the window
+    in which C_inf and the moment-bound series are finite."""
+    if gamma <= d:
+        raise error(f"gamma > d required: gamma={gamma}, d={d}")
+    if not r > d / 2.0:
+        raise error(f"r > d/2 required (d/2 < r < gamma - d/2): "
+                    f"r={r}, d={d}")
+    if not r < gamma - d / 2.0:
+        raise error(f"r < gamma - d/2 required (d/2 < r < gamma - d/2): "
+                    f"r={r}, gamma={gamma}, d={d}")
+
+
 @dataclass(frozen=True)
 class SolveSetup:
     """Immutable precomputed data shared by every solve on one configuration."""
@@ -121,14 +135,7 @@ class SolveSetup:
     lam_r: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        d = self.basis.dimension
-        if self.gamma <= d:
-            raise SolverError(f"gamma > d required: gamma={self.gamma}, d={d}")
-        if not d / 2.0 < self.r < self.gamma - d / 2.0:
-            raise SolverError(
-                f"r must satisfy d/2 < r < gamma - d/2: "
-                f"r={self.r}, d={d}, gamma={self.gamma}"
-            )
+        check_exponents(self.basis.dimension, self.gamma, self.r)
         if self.n_steps < 1 or self.T <= 0:
             raise SolverError("need T > 0 and n_steps >= 1")
         lam = self.basis.eigenvalues
@@ -143,12 +150,8 @@ class SolveSetup:
 def make_setup(basis: EigenBasis, gamma: float, r: float, T: float,
                n_steps: int, pair: CoefficientPair,
                C_inf: float | None = None) -> SolveSetup:
-    d = basis.dimension
-    if gamma <= d:
-        raise SolverError(f"gamma > d required: gamma={gamma}, d={d}")
-    if not d / 2.0 < r < gamma - d / 2.0:
-        raise SolverError(
-            f"r must satisfy d/2 < r < gamma - d/2: r={r}, d={d}, gamma={gamma}")
+    # checked here too: embedding_constant below needs r > d/2
+    check_exponents(basis.dimension, gamma, r)
     if C_inf is None:
         C_inf = embedding_constant(basis, r).value
     return SolveSetup(basis=basis, gamma=gamma, r=r, T=T, n_steps=n_steps,
@@ -205,9 +208,9 @@ def step(state: ModeState, path: NoisePath, n: int,
 
     need_compensator = path.spec.m1 != 0.0 and pair.D_sigma != 0.0
     if pair.D_b != 0.0 or need_compensator:
-        u_grid = u @ bas.modes_on_grid()
+        u_grid = bas.synthesize(u)
     if pair.D_b != 0.0:
-        beta = bas.modes_on_grid() @ (bas.quad_weights * pair.b(u_grid))
+        beta = bas.analyze(bas.quad_weights * pair.b(u_grid))
         A = A + dt * np.cos(omega * t0) * beta
         B = B + dt * np.sin(omega * t0) * beta
 
@@ -226,16 +229,15 @@ def step(state: ModeState, path: NoisePath, n: int,
     if need_compensator:
         # compensator of asymmetric finite-activity jumps, left-point rule
         m1 = path.spec.m1
-        comp = bas.modes_on_grid() @ (bas.quad_weights * pair.sigma(u_grid))
+        comp = bas.analyze(bas.quad_weights * pair.sigma(u_grid))
         Mc = Mc - m1 * dt * np.cos(omega * t0) * comp
         Ms = Ms - m1 * dt * np.sin(omega * t0) * comp
 
     if path.surrogate is not None:
         g = path.surrogate[n]
         if np.any(g):
-            u_cells = u @ bas.modes_on_cells()
-            wc = pair.sigma(u_cells) * g
-            proj = bas.modes_on_cells() @ wc
+            u_cells = bas.synthesize(u, "cells")
+            proj = bas.analyze(pair.sigma(u_cells) * g, "cells")
             Mc = Mc + np.cos(omega * t0) * proj
             Ms = Ms + np.sin(omega * t0) * proj
 
@@ -361,8 +363,13 @@ def paste_over_K(path: NoisePath, setup: SolveSetup,
         raise SolverError(
             "the heavy-tailed driver requires a symmetric Levy measure"
         )
-    if list(K_schedule) != sorted(K_schedule) or len(K_schedule) == 0:
-        raise SolverError("K schedule must be a non-empty increasing sequence")
+    ks = list(K_schedule)
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise SolverError(
+            "K schedule must be a non-empty strictly increasing sequence")
+    if ks[0] < path.spec.cutoff:
+        raise SolverError(f"K schedule starts at {ks[0]}, below the noise "
+                          f"cutoff {path.spec.cutoff}")
     times = np.linspace(0.0, setup.T, setup.n_steps + 1)
     coeffs = np.zeros((setup.n_steps + 1, setup.basis.mode_count))
     norms = np.zeros(setup.n_steps + 1)

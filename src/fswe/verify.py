@@ -220,8 +220,7 @@ def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
         "lambda_sum": lambda_power_sum(setup.basis, setup.r - setup.gamma),
     }
     verdicts = []
-    modes_grid = setup.basis.modes_on_grid()
-    sq_field_mean = np.zeros(modes_grid.shape[1])
+    sq_field_mean = np.zeros(setup.basis.grid_size**setup.basis.dimension)
     n_field_samples = 0
     for N in N_values:
         sums = np.zeros(2)
@@ -234,7 +233,8 @@ def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
             v = float(np.max(traj.hr_norms**2))
             sums += (v, v * v)
             if N == N_values[0]:
-                sq_field_mean += np.mean((traj.coeffs @ modes_grid) ** 2, axis=0)
+                sq_field_mean += np.mean(
+                    setup.basis.synthesize(traj.coeffs) ** 2, axis=0)
                 n_field_samples += 1
         mean = sums[0] / R
         se = math.sqrt(max(sums[1] / R - mean**2, 0.0) / R)

@@ -45,7 +45,7 @@ class TestOrthonormality:
     @pytest.mark.parametrize("d,M", [(1, 12), (2, 9)])
     def test_gram_is_identity(self, d, M):
         basis = build_basis(d, M)
-        modes = basis.modes_on_grid()          # (M, n_grid)
+        modes = basis.evaluate_modes(basis.grid_points)   # (M, n_grid)
         w = basis.quad_weights
         gram = (modes * w) @ modes.T
         assert np.max(np.abs(gram - np.eye(M))) < 1e-10
@@ -53,7 +53,14 @@ class TestOrthonormality:
     def test_project_then_evaluate_roundtrip(self):
         basis = build_basis(1, 8)
         coeffs = np.array([1.0, -0.5, 0.25, 0.0, 2.0, 0.0, 0.0, -1.0])
-        grid_vals = coeffs @ basis.modes_on_grid()
+        grid_vals = coeffs @ basis.evaluate_modes(basis.grid_points)
+        back = project(grid_vals, basis)
+        np.testing.assert_allclose(back.coefficients, coeffs, atol=1e-10)
+
+    def test_project_roundtrip_2d(self):
+        basis = build_basis(2, 8)
+        coeffs = np.array([1.0, -0.5, 0.25, 0.0, 2.0, 0.0, 0.0, -1.0])
+        grid_vals = coeffs @ basis.evaluate_modes(basis.grid_points)
         back = project(grid_vals, basis)
         np.testing.assert_allclose(back.coefficients, coeffs, atol=1e-10)
 
@@ -62,6 +69,79 @@ class TestOrthonormality:
         x = np.array([[0.25]])
         vals = basis.evaluate_modes(x)
         assert vals[0, 0] == pytest.approx(math.sqrt(2) * math.sin(math.pi / 4))
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _dense(basis, where):
+    pts = basis.grid_points if where == "grid" else basis.cell_centers
+    return basis.evaluate_modes(pts)
+
+
+class TestTransforms:
+    """synthesize/analyze against the dense products with evaluate_modes."""
+
+    @pytest.mark.parametrize("M", [1, 5, 9, 64])
+    @pytest.mark.parametrize("where", ["grid", "cells"])
+    def test_2d_matches_dense(self, M, where):
+        # M=5 splits the tie lambda = 10 pi^2 between (1,3) and (3,1)
+        basis = build_basis(2, M, grid_size=65)
+        dense = _dense(basis, where)
+        rng = np.random.default_rng(M)
+        u = rng.normal(size=M)
+        assert _rel_err(basis.synthesize(u, where), u @ dense) < 1e-12
+        rows = rng.normal(size=(3, M))
+        assert _rel_err(basis.synthesize(rows, where), rows @ dense) < 1e-12
+        v = rng.normal(size=dense.shape[1])
+        assert _rel_err(basis.analyze(v, where), dense @ v) < 1e-12
+
+    @pytest.mark.parametrize("where", ["grid", "cells"])
+    def test_1d_bitwise_dense(self, where):
+        basis = build_basis(1, 16)
+        dense = _dense(basis, where)
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=16)
+        v = rng.normal(size=dense.shape[1])
+        np.testing.assert_array_equal(basis.synthesize(u, where), u @ dense)
+        np.testing.assert_array_equal(basis.analyze(v, where), dense @ v)
+
+    @pytest.mark.parametrize("d,M", [(1, 16), (2, 1), (2, 5), (2, 9), (2, 64)])
+    def test_embedding_matches_dense_kernel(self, d, M):
+        basis = build_basis(d, M, grid_size=None if d == 1 else 65)
+        r = 1.0 if d == 1 else 1.5
+        emb = embedding_constant(basis, r)
+        modes = basis.evaluate_modes(basis.grid_points)
+        dense = float(np.sqrt(np.max(basis.eigenvalues ** (-r) @ modes**2)))
+        assert emb.probe_points == basis.grid_size**d
+        if d == 1:
+            assert emb.value == dense
+        else:
+            assert abs(emb.value - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_quad_weights_cached_read_only(self, d):
+        basis = build_basis(d, 2, grid_size=9)
+        w = basis.quad_weights
+        assert basis.quad_weights is w
+        assert not w.flags.writeable
+        h = 1.0 / 8
+        w1 = np.array([h / 2] + [h] * 7 + [h / 2])
+        expected = w1 if d == 1 else np.outer(w1, w1).ravel()
+        np.testing.assert_array_equal(w, expected)
+
+    def test_no_grid_sized_tables(self):
+        basis = build_basis(2, 64)
+        basis.synthesize(np.ones(64))
+        basis.synthesize(np.ones(64), "cells")
+        tables = {k: a.shape for k, a in basis._grid_cache.items()
+                  if k != "weights"}
+        assert tables == {"grid": (9, 257), "cells": (9, 256)}
+
+    def test_unknown_location(self):
+        with pytest.raises(BasisError):
+            build_basis(1, 4).synthesize(np.ones(4), "edges")
 
 
 class TestSobolevNorm:
@@ -120,7 +200,7 @@ class TestEmbeddingConstant:
         rng = np.random.default_rng(42)
         for _ in range(50):
             c = rng.normal(size=16)
-            sup = np.max(np.abs(c @ basis.modes_on_grid()))
+            sup = np.max(np.abs(c @ basis.evaluate_modes(basis.grid_points)))
             norm = sobolev_norm(SpectralField(basis, c), 1.0)
             assert sup <= emb.value * norm + 1e-9
 

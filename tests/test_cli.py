@@ -93,6 +93,16 @@ class TestCommands:
                      "--out", str(out), "noise"]) == 0
         assert (out / "noise.csv").exists()
 
+    def test_noise_cells_match_solver_grid(self, tmp_path):
+        # M=128 needs a 513-node grid, not the 257-node default
+        cfg = write_config(tmp_path, dict(BASE, modes=128))
+        out = tmp_path / "noise"
+        assert main(["--config", str(cfg), "--seed", "1",
+                     "--out", str(out), "noise"]) == 0
+        header = json.loads((out / "noise.json").read_text())
+        setup = parse_config(cfg).build()
+        assert header["cells_per_dim"] == setup.basis.grid_size - 1 == 512
+
     def test_ensemble_command(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out = tmp_path / "ens"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,6 +172,58 @@ class TestStepIntegral:
                                  sample_path(spec, 1.0, 4, s, cells_per_dim=4))
             for s in range(R)])
         assert abs(vals.mean()) <= 3 * vals.std(ddof=1) / math.sqrt(R)
+
+
+def _path_with_jumps(times, n_steps, T=1.0):
+    """A Rademacher path whose jumps sit at the given times, size 1, at the
+    centre of the unit interval, with no surrogate."""
+    p = sample_path(RADEMACHER, T, n_steps, 0, cells_per_dim=4)
+    times = np.sort(np.asarray(times, dtype=float))
+    return dataclasses.replace(
+        p, jump_times=times, jump_positions=np.full((len(times), 1), 0.5),
+        jump_sizes=np.ones(len(times)))
+
+
+class TestStepAssignment:
+    def test_grid_time_goes_to_the_step_it_starts(self):
+        p = _path_with_jumps([], 100)
+        t = 29 * p.dt
+        assert p.step_of(np.array([t]))[0] == 29
+        p = _path_with_jumps([t], 100)
+        assert p.jumps_in_step(29) == slice(0, 1)
+        assert p.jumps_in_step(28).stop == p.jumps_in_step(28).start
+
+    @given(n_steps=st.integers(1, 200),
+           picks=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.sampled_from([-1, 0, 1])),
+                          min_size=1, max_size=12),
+           T=st.sampled_from([1.0, 0.3, 2.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_rule_for_solver_and_integral(self, n_steps, picks, T):
+        # jump times on step boundaries and one ulp to either side of them
+        p = _path_with_jumps([], n_steps, T)
+        times = []
+        for k, side in picks:
+            t = (k % n_steps) * p.dt
+            if side:
+                t = np.nextafter(t, side * math.inf)
+            if 0.0 <= t < T:
+                times.append(t)
+        if not times:
+            return
+        p = _path_with_jumps(times, n_steps, T)
+        steps = p.step_of(p.jump_times)
+        # the rule: n dt <= t < (n+1) dt
+        for t, n in zip(p.jump_times, steps):
+            assert n * p.dt <= t < (n + 1) * p.dt
+        # the solver's slices partition the jumps by that same rule
+        for n in range(n_steps):
+            sl = p.jumps_in_step(n)
+            np.testing.assert_array_equal(np.nonzero(steps == n)[0],
+                                          np.arange(sl.start, sl.stop))
+        # the step-field integral uses it too: H = step index sums the steps
+        H = np.repeat(np.arange(n_steps, dtype=float)[:, None], 4, axis=1)
+        assert integrate_step_field(H, p) == float(np.sum(steps))
 
 
 class TestSerialization:

@@ -213,6 +213,20 @@ class TestStoppingAndPasting:
         with pytest.raises(SolverError):
             paste_over_K(path, setup)
 
+    @pytest.mark.parametrize("schedule,msg", [
+        ((1.0, 1.0, 2.0), "strictly increasing"),
+        ((2.0, 1.0), "strictly increasing"),
+        ((), "non-empty"),
+        ((0.005, 1.0), "below the noise cutoff"),
+    ])
+    def test_paste_over_K_rejects_bad_schedule(self, basis, schedule, msg):
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        setup = setup_for(basis, "wave")
+        path = sample_path(spec, 1.0, 50, 8,
+                           cells_per_dim=basis.grid_size - 1)
+        with pytest.raises(SolverError, match=msg):
+            paste_over_K(path, setup, K_schedule=schedule)
+
     def test_paste_over_K_stable(self, basis):
         spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
         setup = setup_for(basis, "wave", n_steps=50)

@@ -137,6 +137,19 @@ class TestConsistencySuite:
                                 corrupt=True)
         assert not rep.passed
 
+    def test_2d_passes_and_corrupt_fails(self):
+        # d=2 runs the separable transforms; the corrupted clamp must still
+        # break the (N, N+1) coupling there
+        setup2 = make_setup(build_basis(2, 9, grid_size=17), 3.0, 1.5, 1.0,
+                            20, WAVE)
+        rep = consistency_suite(setup2, RADEMACHER, stable_spec=STABLE,
+                                n_seeds=6, base_seed=31)
+        assert rep.passed, [str(v) for v in rep.verdicts]
+        assert len(rep.verdicts) == 3
+        bad = consistency_suite(setup2, RADEMACHER, stable_spec=STABLE,
+                                n_seeds=6, base_seed=31, corrupt=True)
+        assert not bad.passed
+
     def test_report_serializes(self, setup):
         rep = consistency_suite(setup, RADEMACHER, n_seeds=3, base_seed=8)
         d = rep.to_dict()
