@@ -270,7 +270,7 @@ def zero_after(path: NoisePath, t_cut: float) -> NoisePath:
     keep = path.jump_times <= t_cut
     surrogate = path.surrogate
     if surrogate is not None:
-        n_first = int(math.ceil(t_cut / path.dt - 1e-12))
+        n_first = int(np.searchsorted(path.step_edges, t_cut, side="left"))
         surrogate = surrogate.copy()
         surrogate[n_first:] = 0.0
     return replace(path, jump_times=path.jump_times[keep],

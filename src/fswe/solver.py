@@ -53,11 +53,11 @@ class CoefficientPair:
 
 
 def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
+    return np.broadcast_to(0.0, np.shape(x))
 
 
 def _one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
+    return np.broadcast_to(1.0, np.shape(x))
 
 
 def _identity(x):
@@ -313,52 +313,83 @@ def solve_truncated(N: int, path: NoisePath, setup: SolveSetup) -> Trajectory:
     return traj
 
 
+def _paste(path: NoisePath, setup: SolveSetup, K_schedule: tuple[float, ...],
+           N_max: int) -> Trajectory:
+    """Paste over N and K in one forward pass.
+
+    By the coupling identity level N equals level N+1 bitwise up to and
+    including the grid time tau_N, and level K equals every higher K level
+    at the grid times before tau^K. So N rises right after the step whose
+    norm first exceeds N, K rises right before the first step into a grid
+    time at or after tau^K, and no level is solved twice. Past N_max, or
+    past a finite tau^K of the last K, the run stays at that level and is
+    cap_reached.
+    """
+    _check_path(path, setup)
+    if N_max < 1:
+        raise SolverError(f"need N_max >= 1, got {N_max}")
+    n_steps = setup.n_steps
+    times = np.linspace(0.0, setup.T, n_steps + 1)
+    coeffs = np.zeros((n_steps + 1, setup.basis.mode_count))
+    norms = np.zeros(n_steps + 1)
+    active_N = np.zeros(n_steps + 1, dtype=int)
+    active_K = np.zeros(n_steps + 1)
+    record = StoppingRecord()
+    state = ModeState.zero(setup.basis.mode_count)
+    N = 1
+    pair_N = truncate_coefficients(setup.pair, N, setup.C_inf)
+    k, tau_K = -1, -math.inf  # the first K level is entered at grid index 0
+    for n in range(n_steps + 1):
+        while times[n] >= tau_K and k + 1 < len(K_schedule):
+            k += 1
+            K = K_schedule[k]
+            path_K = truncate(path, K)
+            tau_K = record.tau_by_K[K] = first_large_jump(path, K)
+        if n:
+            state = step(state, path_K, n - 1, setup, pair_N)
+            coeffs[n] = state.u
+            norms[n] = hr_norm_at(state, setup)
+        while not record.cap_reached and norms[n] > N:
+            tau = float(times[n])
+            record.tau_by_N[N] = tau
+            record.tau_brackets[N] = (max(tau - setup.dt, 0.0), tau)
+            if N == N_max:
+                record.cap_reached = True
+            else:
+                N += 1
+                pair_N = truncate_coefficients(setup.pair, N, setup.C_inf)
+        active_N[n] = N
+        active_K[n] = K
+    record.tau_by_N.setdefault(N, math.inf)
+    record.cap_reached = record.cap_reached or math.isfinite(tau_K)
+    return Trajectory(times=times, hr_norms=norms, coeffs=coeffs,
+                      active_N=active_N, active_K=active_K, stopping=record)
+
+
 def paste_over_N(path: NoisePath, setup: SolveSetup,
                  N_max: int = 8) -> Trajectory:
     """Global solution by pasting level-N solves on [tau_{N-1}, tau_N).
 
-    Levels run 1, 2, ... on the same path; the loop stops at the first level
-    whose norm never exceeds it. If tau_{N_max} <= T the trajectory is
-    flagged cap_reached (theory guarantees tau_N -> inf, so raising N_max
-    always clears the flag eventually).
+    Levels run 1, 2, ... on the same path and the same forward pass. If
+    tau_{N_max} <= T the trajectory is flagged cap_reached (theory
+    guarantees tau_N -> inf, so raising N_max always clears the flag
+    eventually).
     """
-    times = np.linspace(0.0, setup.T, setup.n_steps + 1)
-    coeffs = np.zeros((setup.n_steps + 1, setup.basis.mode_count))
-    norms = np.zeros(setup.n_steps + 1)
-    active = np.zeros(setup.n_steps + 1, dtype=int)
-    record = StoppingRecord()
-    filled_to = 0  # grid index up to which the output is final
-    for N in range(1, N_max + 1):
-        traj = solve_truncated(N, path, setup)
-        tau = traj.stopping.tau_by_N[N]
-        record.tau_by_N[N] = tau
-        record.tau_brackets.update(traj.stopping.tau_brackets)
-        hi = setup.n_steps + 1 if math.isinf(tau) else int(round(tau / setup.dt))
-        sel = slice(filled_to, hi)
-        coeffs[sel] = traj.coeffs[sel]
-        norms[sel] = traj.hr_norms[sel]
-        active[sel] = N
-        filled_to = hi
-        if math.isinf(tau):
-            break
-    if filled_to <= setup.n_steps:
-        # cap reached: keep the deepest available level from tau_{N_max} on
-        sel = slice(filled_to, setup.n_steps + 1)
-        coeffs[sel] = traj.coeffs[sel]
-        norms[sel] = traj.hr_norms[sel]
-        active[sel] = N_max
-        record.cap_reached = True
-    return Trajectory(times=times, hr_norms=norms, coeffs=coeffs,
-                      active_N=active,
-                      active_K=np.full(setup.n_steps + 1, math.inf),
-                      stopping=record)
+    traj = _paste(path, setup, (math.inf,), N_max)
+    traj.stopping.tau_by_K.clear()  # pasting over N alone keeps no K record
+    return traj
 
 
 def paste_over_K(path: NoisePath, setup: SolveSetup,
                  K_schedule: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
                  N_max: int = 8) -> Trajectory:
     """Heavy-tailed solution by pasting noise-truncated solves on
-    [tau^{K-1}, tau^K), tau^K the first jump exceeding K."""
+    [tau^{K-1}, tau^K), tau^K the first jump exceeding K, each pasted over
+    N as in paste_over_N.
+
+    cap_reached is set when the returned trajectory's norm exceeds N_max or
+    the last level's tau^K is finite.
+    """
     if not path.spec.symmetric:
         raise SolverError(
             "the heavy-tailed driver requires a symmetric Levy measure"
@@ -370,37 +401,4 @@ def paste_over_K(path: NoisePath, setup: SolveSetup,
     if ks[0] < path.spec.cutoff:
         raise SolverError(f"K schedule starts at {ks[0]}, below the noise "
                           f"cutoff {path.spec.cutoff}")
-    times = np.linspace(0.0, setup.T, setup.n_steps + 1)
-    coeffs = np.zeros((setup.n_steps + 1, setup.basis.mode_count))
-    norms = np.zeros(setup.n_steps + 1)
-    active_N = np.zeros(setup.n_steps + 1, dtype=int)
-    active_K = np.zeros(setup.n_steps + 1)
-    record = StoppingRecord()
-    filled_to = 0
-    for K in K_schedule:
-        traj_K = paste_over_N(truncate(path, K), setup, N_max=N_max)
-        tau_K = first_large_jump(path, K)
-        record.tau_by_K[K] = tau_K
-        record.cap_reached = record.cap_reached or traj_K.stopping.cap_reached
-        if math.isinf(tau_K):
-            hi = setup.n_steps + 1
-        else:
-            # last grid time strictly before tau_K, exclusive upper index
-            hi = int(np.searchsorted(times, tau_K, side="left"))
-        sel = slice(filled_to, hi)
-        coeffs[sel] = traj_K.coeffs[sel]
-        norms[sel] = traj_K.hr_norms[sel]
-        active_N[sel] = traj_K.active_N[sel]
-        active_K[sel] = K
-        filled_to = max(filled_to, hi)
-        if math.isinf(tau_K):
-            break
-    if filled_to <= setup.n_steps:
-        sel = slice(filled_to, setup.n_steps + 1)
-        coeffs[sel] = traj_K.coeffs[sel]
-        norms[sel] = traj_K.hr_norms[sel]
-        active_N[sel] = traj_K.active_N[sel]
-        active_K[sel] = K_schedule[-1]
-        record.cap_reached = True
-    return Trajectory(times=times, hr_norms=norms, coeffs=coeffs,
-                      active_N=active_N, active_K=active_K, stopping=record)
+    return _paste(path, setup, tuple(ks), N_max)

@@ -11,7 +11,7 @@ vacuous passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -373,7 +373,17 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
                                 dimension=setup.basis.dimension)
             tau_K = first_large_jump(spath, K)
             traj_K = paste_over_N(truncate(spath, K), setup)
-            traj_K1 = paste_over_N(truncate(spath, K + 1.0), setup)
+            spath_K1 = truncate(spath, K + 1.0)
+            if corrupt:
+                # level K+1 alone loses the jumps in (K/2, K]; the (K, K+1)
+                # verdict must notice
+                z = np.abs(spath_K1.jump_sizes)
+                keep = (z <= K / 2.0) | (z > K)
+                spath_K1 = replace(spath_K1,
+                                   jump_times=spath_K1.jump_times[keep],
+                                   jump_positions=spath_K1.jump_positions[keep],
+                                   jump_sizes=spath_K1.jump_sizes[keep])
+            traj_K1 = paste_over_N(spath_K1, setup)
             upto_K = (setup.n_steps + 1 if math.isinf(tau_K)
                       else int(np.searchsorted(np.linspace(0, setup.T,
                                                            setup.n_steps + 1),

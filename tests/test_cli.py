@@ -75,6 +75,10 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 3
         assert summary["config"]["modes"] == 6
+        # an N-only run records N stopping times and no K levels
+        stopping = summary["trajectories"]["trajectory"]
+        assert "1" in stopping["tau_by_N"]
+        assert stopping["tau_by_K"] == {}
 
     def test_simulate_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -152,3 +156,8 @@ class TestCommands:
         assert main(["--config", str(cfg), "--seed", "5",
                      "--out", str(out), "simulate"]) == 0
         assert (out / "trajectory.csv").exists()
+        # pasting over K records the N stopping times of the pasted path too
+        stopping = json.loads((out / "summary.json").read_text())[
+            "trajectories"]["trajectory"]
+        assert "1" in stopping["tau_by_N"]
+        assert "1.0" in stopping["tau_by_K"]

@@ -224,6 +224,13 @@ class TestStepAssignment:
         # the step-field integral uses it too: H = step index sums the steps
         H = np.repeat(np.arange(n_steps, dtype=float)[:, None], 4, axis=1)
         assert integrate_step_field(H, p) == float(np.sum(steps))
+        # zero_after too: it keeps the surrogate of exactly the steps that
+        # start before the cut
+        p = dataclasses.replace(p, surrogate=np.ones((n_steps, 4)))
+        starts = np.arange(n_steps) * p.dt
+        for t in times:
+            kept = zero_after(p, t).surrogate.any(axis=1)
+            np.testing.assert_array_equal(kept, starts < t)
 
 
 class TestSerialization:

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _paste_oracle as oracle
+import fswe.solver
 from fswe.basis import build_basis, embedding_constant
 from fswe.noise import (LevyMeasureSpec, sample_path, truncate, zero_after)
 from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
@@ -11,6 +15,7 @@ from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
                          truncate_coefficients)
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
+ASYMMETRIC = LevyMeasureSpec(variant="atoms", atoms=((1.5, 1.0), (-0.5, 0.5)))
 # multiplicative pair with sigma(0) != 0, so zero initial data still moves
 WAVE = CoefficientPair(np.sin, np.cos, 1.0, 1.0, "wave")
 
@@ -50,6 +55,15 @@ class TestCoefficients:
         rng = np.random.default_rng(0)
         for pair in COEFFICIENT_PRESETS.values():
             pair.check_linear_growth(rng)
+        # the constant parts are read-only broadcasts with the values, shape
+        # and dtype of a fresh ones/zeros array, so no call allocates one
+        for x in (0.7, np.linspace(-3.0, 3.0, 12), np.ones((4, 3), dtype=int)):
+            for name, value in (("zero", 0.0), ("constant", 1.0)):
+                pair = COEFFICIENT_PRESETS[name]
+                for out in (pair.b(x), pair.sigma(x)):
+                    np.testing.assert_array_equal(
+                        out, np.full(np.shape(x), value), strict=True)
+                    assert not out.flags.writeable
 
     def test_clamp_examples(self):
         # b(x) = x^2 clamped at radius 2: b_N(3) = 4
@@ -227,6 +241,11 @@ class TestStoppingAndPasting:
         with pytest.raises(SolverError, match=msg):
             paste_over_K(path, setup, K_schedule=schedule)
 
+    def test_paste_rejects_N_max_below_one(self, basis):
+        setup = setup_for(basis, "wave")
+        with pytest.raises(SolverError, match="N_max >= 1"):
+            paste_over_N(path_for(basis, 0), setup, N_max=0)
+
     def test_paste_over_K_stable(self, basis):
         spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
         setup = setup_for(basis, "wave", n_steps=50)
@@ -240,6 +259,95 @@ class TestStoppingAndPasting:
         last = traj.active_K == 8.0
         if last.any():
             np.testing.assert_array_equal(traj.coeffs[last], k1.coeffs[last])
+
+
+def _n_record(traj, N_max, dt):
+    """tau_N and its bracket for the levels a pasted trajectory used: the
+    first grid time its norm exceeds N, up to the first N never exceeded
+    or N_max."""
+    tau_by_N, brackets = {}, {}
+    for N in range(1, N_max + 1):
+        tau = detect_stop(traj, N)
+        tau_by_N[N] = tau
+        if math.isinf(tau):
+            break
+        brackets[N] = (max(tau - dt, 0.0), tau)
+    return tau_by_N, brackets
+
+
+def _assert_same_pasting(new, old):
+    for name in ("times", "coeffs", "hr_norms", "active_N", "active_K"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert new.stopping.tau_by_K == old.stopping.tau_by_K
+
+
+class TestOnePassPasting:
+    """The one-pass pasting against the level-by-level oracle in
+    tests/_paste_oracle.py, which solves every level again from t=0."""
+
+    @given(d=st.sampled_from([1, 2]), M=st.sampled_from([8, 16]),
+           grid=st.integers(17, 37),
+           preset=st.sampled_from(sorted(COEFFICIENT_PRESETS) + ["wave"]),
+           noise=st.sampled_from(["rademacher", "asymmetric", 0.8, 1.0, 1.5]),
+           N_max=st.sampled_from([1, 2, 8]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    # at tau_1 this path's norm is 1.36 and its sup exceeds the level-1
+    # clamp radius C_inf, so a pass that switches to the level-2 clamp one
+    # step late differs from the oracle
+    @example(d=1, M=8, grid=17, preset="wave", noise=1.5, N_max=2, seed=17)
+    def test_matches_level_by_level_oracle(self, d, M, grid, preset, noise,
+                                           N_max, seed):
+        basis = build_basis(2, 9, grid_size=grid) if d == 2 \
+            else build_basis(1, M)
+        gamma, r = (3.0, 1.5) if d == 2 else (2.0, 1.0)
+        pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
+        setup = make_setup(basis, gamma, r, 1.0, 30, pair)
+        spec = {"rademacher": RADEMACHER, "asymmetric": ASYMMETRIC}.get(
+            noise) or LevyMeasureSpec(variant="stable", alpha=noise,
+                                      cutoff=0.01)
+        path = sample_path(spec, 1.0, 30, seed,
+                           cells_per_dim=basis.grid_size - 1, dimension=d)
+        if spec.variant == "stable":
+            new = paste_over_K(path, setup, N_max=N_max)
+            old = oracle.paste_over_K(path, setup, N_max=N_max)
+            # the oracle records no N levels when it pastes over K
+            expect_N = _n_record(old, N_max, setup.dt)
+        else:
+            new = paste_over_N(path, setup, N_max=N_max)
+            old = oracle.paste_over_N(path, setup, N_max=N_max)
+            expect_N = old.stopping.tau_by_N, old.stopping.tau_brackets
+            assert new.stopping.tau_by_K == {}
+        _assert_same_pasting(new, old)
+        assert (new.stopping.tau_by_N, new.stopping.tau_brackets) == expect_N
+        taus_K = list(new.stopping.tau_by_K.values())
+        capped = bool(np.any(new.hr_norms > N_max)) or (
+            bool(taus_K) and math.isfinite(taus_K[-1]))
+        assert new.stopping.cap_reached == capped
+        # the oracle also counts caps hit in the discarded suffix of a
+        # lower K level, so its flag can only be set more often
+        assert old.stopping.cap_reached or not new.stopping.cap_reached
+
+    def test_paste_over_K_steps_once_per_grid_step(self, basis, monkeypatch):
+        calls = []
+        step = fswe.solver.step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(fswe.solver, "step", counted)
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        setup = setup_for(basis, "wave", n_steps=50)
+        path = sample_path(spec, 1.0, 50, 4,
+                           cells_per_dim=basis.grid_size - 1)
+        traj = paste_over_K(path, setup)
+        assert len(traj.stopping.tau_by_K) >= 3
+        assert calls == list(range(setup.n_steps))
+        calls.clear()
+        traj = paste_over_N(path, setup)
+        assert traj.active_N.max() >= 3
+        assert calls == list(range(setup.n_steps))
 
 
 class TestEmbeddingInteraction:

@@ -126,6 +126,11 @@ class TestSurvivalSuite:
         assert not rep.passed
 
 
+def _verdict(report, prefix):
+    [v] = [v for v in report.verdicts if v.name.startswith(prefix)]
+    return v
+
+
 class TestConsistencySuite:
     def test_passes(self, setup):
         rep = consistency_suite(setup, RADEMACHER, stable_spec=STABLE,
@@ -136,6 +141,11 @@ class TestConsistencySuite:
         rep = consistency_suite(setup, RADEMACHER, n_seeds=10, base_seed=7,
                                 corrupt=True)
         assert not rep.passed
+
+    def test_corrupt_breaks_K_coupling(self, setup):
+        rep = consistency_suite(setup, RADEMACHER, stable_spec=STABLE,
+                                n_seeds=10, base_seed=7, corrupt=True)
+        assert not _verdict(rep, "(K, K+1)").passed
 
     def test_2d_passes_and_corrupt_fails(self):
         # d=2 runs the separable transforms; the corrupted clamp must still
@@ -149,6 +159,7 @@ class TestConsistencySuite:
         bad = consistency_suite(setup2, RADEMACHER, stable_spec=STABLE,
                                 n_seeds=6, base_seed=31, corrupt=True)
         assert not bad.passed
+        assert not _verdict(bad, "(K, K+1)").passed
 
     def test_report_serializes(self, setup):
         rep = consistency_suite(setup, RADEMACHER, n_seeds=3, base_seed=8)
