@@ -1,15 +1,12 @@
 """Spectral Galerkin simulator and Monte Carlo verification harness for
 fractional wave dynamics driven by Levy noise on the unit box."""
 
-from .basis import (BasisError, EigenBasis, EmbeddingConstant, SpectralField,
-                    build_basis, embedding_constant, evaluate,
-                    lambda_power_sum, lambda_power_tail, project,
-                    sobolev_norm, weyl_ratio)
-from .green import (GreenError, GreenParams, green_coefficient,
-                    green_evaluate, square_integral_in_y, time_integrated_sup)
-from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, Moments,
-                    NoiseError, NoisePath, export_path, first_large_jump,
-                    integrate_step_field, moments, sample_path, spec_from_dict,
+from .basis import (BasisError, EigenBasis, build_basis, embedding_constant,
+                    lambda_power_sum, lambda_power_tail)
+from .green import GreenError, GreenParams, time_integrated_sup
+from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, NoiseError,
+                    NoisePath, export_path, first_large_jump,
+                    integrate_step_field, sample_path, spec_from_dict,
                     spec_to_dict, truncate, zero_after)
 from .solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
                      SolverError, SolveSetup, StoppingRecord, Trajectory,

@@ -1,5 +1,5 @@
-"""Dirichlet eigenbasis of the Laplacian on the unit box, fractional Sobolev
-norms, and the L-infinity embedding constant.
+"""Dirichlet eigenbasis of the Laplacian on the unit box, eigenvalue power
+sums, and the L-infinity embedding constant.
 
 Only the unit interval (d=1) and unit square (d=2) are supported: the sine
 eigenpairs are explicit there, so no eigensolver is needed. Eigenfunctions
@@ -154,11 +154,6 @@ class EigenBasis:
         return (self.grid_size - 1) ** self.dimension
 
     @property
-    def cell_volume(self) -> float:
-        h = 1.0 / (self.grid_size - 1)
-        return h**self.dimension
-
-    @property
     def cell_centers(self) -> np.ndarray:
         g = self.grid_1d
         c = 0.5 * (g[:-1] + g[1:])
@@ -166,23 +161,6 @@ class EigenBasis:
             return c[:, None]
         xx, yy = np.meshgrid(c, c, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-@dataclass
-class SpectralField:
-    """An element of H_r(D) represented by its first M Fourier coefficients."""
-
-    basis: EigenBasis
-    coefficients: np.ndarray
-    time_stamp: float | None = None
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.basis.mode_count,):
-            raise BasisError(
-                f"expected {self.basis.mode_count} coefficients, "
-                f"got shape {self.coefficients.shape}"
-            )
 
 
 def sine_table(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -227,19 +205,6 @@ def build_basis(d: int, M: int, grid_size: int | None = None) -> EigenBasis:
                       multi_indices=indices.astype(int), grid_size=grid_size)
 
 
-def weyl_ratio(basis: EigenBasis, k: int) -> float:
-    """lambda_k / k^(2/d); converges to pi^2 for d=1 and 4*pi for d=2."""
-    if not 1 <= k <= basis.mode_count:
-        raise BasisError(f"mode index {k} out of range 1..{basis.mode_count}")
-    return float(basis.eigenvalues[k - 1] / k ** (2.0 / basis.dimension))
-
-
-def sobolev_norm(fld: SpectralField, r: float) -> float:
-    """(sum_k lambda_k^r a_k^2)^(1/2)."""
-    lam = fld.basis.eigenvalues
-    return float(np.sqrt(np.sum(lam**r * fld.coefficients**2)))
-
-
 def lambda_power_sum(basis: EigenBasis, p: float) -> float:
     """Partial sum sum_{k<=M} lambda_k^p over the enumerated modes."""
     return float(np.sum(basis.eigenvalues**p))
@@ -261,25 +226,33 @@ def lambda_power_tail(basis: EigenBasis, p: float) -> float:
     return float(np.pi**p * M ** (1 + p) / (-1 - p))
 
 
-@dataclass(frozen=True)
-class EmbeddingConstant:
-    """Grid-based embedding constant with crude analytic diagnostics.
+def _probe_sup(basis: EigenBasis, c: np.ndarray,
+               probe_grid: int) -> np.ndarray:
+    """max over a probe_grid^d grid of the kernel sum_k c_k e_k(x)^2.
 
-    value bounds |f(x)| <= value * ||f||_{H_r} at the probe points for any
-    field supported on the first M modes (Cauchy-Schwarz on the coefficient
-    series). upper_bound adds |e_k|^2 <= 2^d; tail_bound estimates the
-    neglected modes k > M.
+    c has shape (..., M); the result has shape (...). In d=2 each kernel is
+    Q.T @ W @ Q, Q = S**2 the squared 1-D sine table and W the (kmax, kmax)
+    matrix of c, so no (M, probe_grid^2) table is formed.
     """
-
-    value: float
-    upper_bound: float
-    tail_bound: float
-    probe_points: int
+    Q = sine_table(basis.kmax, np.linspace(0.0, 1.0, probe_grid)) ** 2
+    if basis.dimension == 1:
+        return (c @ Q).max(axis=-1)
+    W = np.zeros(c.shape[:-1] + (basis.kmax, basis.kmax))
+    W[(...,) + basis._pair_index] = c
+    sups = [(Q.T @ w @ Q).max()
+            for w in W.reshape(-1, basis.kmax, basis.kmax)]
+    return np.reshape(sups, c.shape[:-1])
 
 
 def embedding_constant(basis: EigenBasis, r: float,
-                       grid_size: int | None = None) -> EmbeddingConstant:
-    """max over a probe grid of (sum_{k<=M} lambda_k^{-r} e_k(x)^2)^(1/2)."""
+                       grid_size: int | None = None) -> float:
+    """C_inf, the max over a probe grid of
+    (sum_{k<=M} lambda_k^{-r} e_k(x)^2)^(1/2).
+
+    It bounds |f(x)| <= C_inf ||f||_{H_r} at the probe points for any field
+    supported on the first M modes (Cauchy-Schwarz on the coefficient
+    series). The probe grid defaults to the quadrature grid.
+    """
     d = basis.dimension
     if r <= d / 2.0:
         raise BasisError(
@@ -287,38 +260,5 @@ def embedding_constant(basis: EigenBasis, r: float,
         )
     if grid_size is None:
         grid_size = basis.grid_size
-    Q = sine_table(basis.kmax, np.linspace(0.0, 1.0, grid_size)) ** 2
-    lam_w = basis.eigenvalues ** (-r)
-    if d == 1:
-        kernel = lam_w @ Q
-    else:
-        # e_k(x, y)^2 = Q[k1, x] Q[k2, y]: the kernel is Q.T @ W @ Q
-        W = np.zeros((basis.kmax, basis.kmax))
-        W[basis._pair_index] = lam_w
-        kernel = Q.T @ W @ Q
-    value = float(np.sqrt(kernel.max()))
-    crude = float(np.sqrt(2**d * lambda_power_sum(basis, -r)))
-    tail = float(np.sqrt(2**d * lambda_power_tail(basis, -r)))
-    return EmbeddingConstant(value=value, upper_bound=crude, tail_bound=tail,
-                             probe_points=grid_size**d)
-
-
-def evaluate(fld: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Synthesis sum_k a_k e_k(x) at each point."""
-    modes = fld.basis.evaluate_modes(points)
-    return fld.coefficients @ modes
-
-
-def project(samples: np.ndarray, basis: EigenBasis) -> SpectralField:
-    """L2 projection of grid samples onto the first M modes by quadrature.
-
-    samples must be the field values at basis.grid_points (flattened order).
-    """
-    samples = np.asarray(samples, dtype=float).ravel()
-    n_nodes = basis.grid_size**basis.dimension
-    if samples.shape != (n_nodes,):
-        raise BasisError(
-            f"expected {n_nodes} grid samples, got shape {samples.shape}"
-        )
-    coeffs = basis.analyze(basis.quad_weights * samples)
-    return SpectralField(basis=basis, coefficients=coeffs)
+    return float(np.sqrt(_probe_sup(basis, basis.eigenvalues ** (-r),
+                                    grid_size)))

@@ -28,7 +28,8 @@ from .basis import build_basis
 from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, export_path,
                     sample_path, spec_from_dict, spec_to_dict)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, Trajectory,
-                     check_exponents, make_setup, paste_over_K, paste_over_N)
+                     check_K_schedule, check_exponents, make_setup,
+                     paste_over_K, paste_over_N)
 from . import verify as verify_mod
 
 
@@ -68,9 +69,8 @@ class RunConfig:
                 f"unknown coefficient preset {self.coefficients!r}; "
                 f"choose from {sorted(COEFFICIENT_PRESETS)}")
         if self.K_schedule is not None:
-            ks = list(self.K_schedule)
-            if any(b <= a for a, b in zip(ks, ks[1:])) or not ks:
-                raise ConfigError("K_schedule must be strictly increasing")
+            check_K_schedule(self.K_schedule, self.levy_spec().cutoff,
+                             ConfigError)
 
     def levy_spec(self) -> LevyMeasureSpec:
         return spec_from_dict(self.noise)

@@ -2,8 +2,9 @@
 boundary conditions, accessed mode-wise.
 
 The kernel is never assembled densely; the solver only ever needs the mode
-coefficients sin(lambda_k^{gamma/2} t) / lambda_k^{gamma/2}. Dense pointwise
-evaluation and the square-integral diagnostics live here for verification.
+coefficients sin(lambda_k^{gamma/2} t) / lambda_k^{gamma/2}. The
+time-integrated sup of its square integral, which bounds the moment growth,
+lives here for verification.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisError, EigenBasis
+from .basis import EigenBasis, _probe_sup
 
 
 class GreenError(ValueError):
@@ -38,35 +39,6 @@ class GreenParams:
         return self.basis.eigenvalues ** (self.gamma / 2.0)
 
 
-def green_coefficient(params: GreenParams, k: int, t: float) -> float:
-    """k-th Fourier coefficient sin(omega_k t) / omega_k of the kernel."""
-    if t < 0:
-        raise GreenError(f"the kernel vanishes for t < 0; got t={t}")
-    if not 1 <= k <= params.basis.mode_count:
-        raise BasisError(f"mode index {k} out of range")
-    w = params.omega[k - 1]
-    return float(np.sin(w * t) / w)
-
-
-def green_evaluate(params: GreenParams, t: float, x, y) -> float:
-    """Truncated kernel sum_{k<=M} sin(omega_k t)/omega_k e_k(x) e_k(y)."""
-    if t < 0:
-        raise GreenError(f"the kernel vanishes for t < 0; got t={t}")
-    ex = params.basis.evaluate_modes(np.atleast_2d(x))[:, 0]
-    ey = params.basis.evaluate_modes(np.atleast_2d(y))[:, 0]
-    w = params.omega
-    return float(np.sum(np.sin(w * t) / w * ex * ey))
-
-
-def square_integral_in_y(params: GreenParams, t: float, x) -> float:
-    """int_D G_t(x,y)^2 dy via orthonormality of the eigenbasis."""
-    if t < 0:
-        raise GreenError(f"the kernel vanishes for t < 0; got t={t}")
-    ex = params.basis.evaluate_modes(np.atleast_2d(x))[:, 0]
-    w = params.omega
-    return float(np.sum(np.sin(w * t) ** 2 / w**2 * ex**2))
-
-
 def time_integrated_sup(params: GreenParams, T: float,
                         n_time: int = 201,
                         probe_grid: int = 1025) -> float:
@@ -76,18 +48,9 @@ def time_integrated_sup(params: GreenParams, T: float,
     envelope sum_k lambda_k^{-gamma} |e_k|^2 <= 2^d sum_k lambda_k^{-gamma}
     caps it from above.
     """
-    basis = params.basis
-    d = basis.dimension
-    g = np.linspace(0.0, 1.0, probe_grid)
-    if d == 1:
-        points = g[:, None]
-    else:
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        points = np.column_stack([xx.ravel(), yy.ravel()])
-    modes_sq = params.basis.evaluate_modes(points) ** 2  # (M, n)
     w = params.omega
     times = np.linspace(0.0, T, n_time)
-    # sup_x sum_k sin^2(w_k t)/w_k^2 e_k(x)^2 at each time
+    # sup_x int_D G_t(x,y)^2 dy = sup_x sum_k sin^2(w_k t)/w_k^2 e_k(x)^2
     weights = np.sin(np.outer(times, w)) ** 2 / w**2  # (n_time, M)
-    sups = (weights @ modes_sq).max(axis=1)
+    sups = _probe_sup(params.basis, weights, probe_grid)
     return float(np.trapezoid(sups, times))

@@ -126,28 +126,6 @@ class LevyMeasureSpec:
 
 
 @dataclass(frozen=True)
-class Moments:
-    m2: float  # inf for an untruncated stable spec
-    m2_truncated: float | None
-    tail_mass: float | None
-
-
-def moments(spec: LevyMeasureSpec, K: float | None = None) -> Moments:
-    """Second moment and, when a truncation level K is given, the truncated
-    moment m_2^K and large-jump mass nu(|z|>K)."""
-    if spec.variant == "stable" and K is None:
-        raise NoiseError(
-            "the untruncated stable measure has infinite second moment; "
-            "pass a truncation level K"
-        )
-    return Moments(
-        m2=spec.m2,
-        m2_truncated=None if K is None else spec.m2_truncated(K),
-        tail_mass=None if K is None else spec.tail_mass(K),
-    )
-
-
-@dataclass(frozen=True)
 class NoisePath:
     """One realized space-time noise on [0,T] x unit box.
 
@@ -307,20 +285,15 @@ def integrate_step_field(H: np.ndarray, path: NoisePath) -> float:
 
 # ---- persistence ----
 
-def export_path(path: NoisePath, csv_file, json_file) -> None:
-    """Write jump events as CSV and the path header as JSON.
-
-    Arguments may be open file objects or filesystem paths.
-    """
-    if not hasattr(csv_file, "write"):
-        with open(csv_file, "w", newline="") as fh:
-            with open(json_file, "w") as jh:
-                export_path(path, fh, jh)
-        return
-    writer = csv.writer(csv_file)
-    writer.writerow(["t"] + [f"x{i}" for i in range(path.dimension)] + ["z"])
-    for t, x, z in zip(path.jump_times, path.jump_positions, path.jump_sizes):
-        writer.writerow([repr(t)] + [repr(xi) for xi in x] + [repr(z)])
+def export_path(path: NoisePath, csv_path, json_path) -> None:
+    """Write jump events as CSV and the path header as JSON."""
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{i}" for i in range(path.dimension)]
+                        + ["z"])
+        for t, x, z in zip(path.jump_times, path.jump_positions,
+                           path.jump_sizes):
+            writer.writerow([repr(t)] + [repr(xi) for xi in x] + [repr(z)])
     header = {
         "spec": spec_to_dict(path.spec),
         "T": path.T,
@@ -332,7 +305,8 @@ def export_path(path: NoisePath, csv_file, json_file) -> None:
         "small_jump_variance": path.spec.small_jump_variance,
         "jump_count": int(len(path.jump_times)),
     }
-    json.dump(header, json_file, indent=2)
+    with open(json_path, "w") as fh:
+        json.dump(header, fh, indent=2)
 
 
 def spec_to_dict(spec: LevyMeasureSpec) -> dict:

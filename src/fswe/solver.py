@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import basis as basis_mod
 from .basis import EigenBasis, embedding_constant
 from .noise import NoisePath, first_large_jump, truncate
 
@@ -41,15 +40,6 @@ class CoefficientPair:
     D_b: float
     D_sigma: float
     name: str = "custom"
-
-    def check_linear_growth(self, rng: np.random.Generator,
-                            samples: int = 1000, span: float = 1e6) -> None:
-        """Randomized probe of |b(x)| <= D_b (1+|x|) and the sigma analog."""
-        xs = rng.uniform(-span, span, size=samples)
-        if np.any(np.abs(self.b(xs)) > self.D_b * (1.0 + np.abs(xs)) + 1e-9):
-            raise SolverError(f"drift of pair {self.name!r} violates linear growth")
-        if np.any(np.abs(self.sigma(xs)) > self.D_sigma * (1.0 + np.abs(xs)) + 1e-9):
-            raise SolverError(f"diffusion of pair {self.name!r} violates linear growth")
 
 
 def _zero(x):
@@ -120,6 +110,18 @@ def check_exponents(d: int, gamma: float, r: float,
                     f"r={r}, gamma={gamma}, d={d}")
 
 
+def check_K_schedule(ks, cutoff: float,
+                     error: type[ValueError] = SolverError) -> None:
+    """Raise ``error`` unless the noise truncation levels K are a non-empty
+    strictly increasing sequence starting at or above the noise cutoff."""
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise error(
+            "K schedule must be a non-empty strictly increasing sequence")
+    if ks[0] < cutoff:
+        raise error(f"K schedule starts at {ks[0]}, below the noise "
+                    f"cutoff {cutoff}")
+
+
 @dataclass(frozen=True)
 class SolveSetup:
     """Immutable precomputed data shared by every solve on one configuration."""
@@ -153,7 +155,7 @@ def make_setup(basis: EigenBasis, gamma: float, r: float, T: float,
     # checked here too: embedding_constant below needs r > d/2
     check_exponents(basis.dimension, gamma, r)
     if C_inf is None:
-        C_inf = embedding_constant(basis, r).value
+        C_inf = embedding_constant(basis, r)
     return SolveSetup(basis=basis, gamma=gamma, r=r, T=T, n_steps=n_steps,
                       pair=pair, C_inf=C_inf)
 
@@ -394,11 +396,5 @@ def paste_over_K(path: NoisePath, setup: SolveSetup,
         raise SolverError(
             "the heavy-tailed driver requires a symmetric Levy measure"
         )
-    ks = list(K_schedule)
-    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise SolverError(
-            "K schedule must be a non-empty strictly increasing sequence")
-    if ks[0] < path.spec.cutoff:
-        raise SolverError(f"K schedule starts at {ks[0]}, below the noise "
-                          f"cutoff {path.spec.cutoff}")
-    return _paste(path, setup, tuple(ks), N_max)
+    check_K_schedule(K_schedule, path.spec.cutoff)
+    return _paste(path, setup, tuple(K_schedule), N_max)

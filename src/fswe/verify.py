@@ -74,12 +74,12 @@ class EnsembleReport:
 # the exponential-bound constant
 
 def hatC(T: float, D_b: float, D_sigma: float, m2: float,
-         basis: EigenBasis, r: float, gamma: float,
-         with_tail: bool = True) -> float:
+         basis: EigenBasis, r: float, gamma: float) -> float:
     """4 (T |D| D_b^2 + 16 m2 D_sigma^2) sum_k lambda_k^{r-gamma}.
 
-    with_tail adds the analytic bound on the modes beyond M, giving an upper
-    bound on the infinite series (|D| = 1 on the unit box).
+    The series is the partial sum over the M modes plus the analytic bound
+    on the modes beyond M, so it bounds the infinite series from above
+    (|D| = 1 on the unit box).
     """
     d = basis.dimension
     if r >= gamma - d / 2.0:
@@ -87,18 +87,16 @@ def hatC(T: float, D_b: float, D_sigma: float, m2: float,
             f"sum of lambda^(r-gamma) diverges: need r < gamma - d/2, "
             f"got r={r}, gamma={gamma}, d={d}"
         )
-    s = lambda_power_sum(basis, r - gamma)
-    if with_tail:
-        s += lambda_power_tail(basis, r - gamma)
+    s = (lambda_power_sum(basis, r - gamma)
+         + lambda_power_tail(basis, r - gamma))
     return 4.0 * (T * D_b**2 + 16.0 * m2 * D_sigma**2) * s
 
 
-def moment_growth_bound(setup: SolveSetup, m2: float,
-                        with_tail: bool = True) -> float:
+def moment_growth_bound(setup: SolveSetup, m2: float) -> float:
     """T * hatC_T * exp(T * hatC_T * C_inf^2), the N-uniform second-moment
     bound on sup_t of the squared H_r norm."""
     c = hatC(setup.T, setup.pair.D_b, setup.pair.D_sigma, m2,
-             setup.basis, setup.r, setup.gamma, with_tail=with_tail)
+             setup.basis, setup.r, setup.gamma)
     return setup.T * c * math.exp(setup.T * c * setup.C_inf**2)
 
 

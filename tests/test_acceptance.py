@@ -41,8 +41,8 @@ def wave_setup():
 
 def test_criterion_01_embedding_constant():
     # C_inf(M) -> 1/2 in d=1 at r=1 (kernel sup = sup x(1-x) = 1/4)
-    emb = embedding_constant(build_basis(1, 2000, grid_size=8001), 1.0)
-    err = abs(emb.value - 0.5)
+    C_inf = embedding_constant(build_basis(1, 2000, grid_size=8001), 1.0)
+    err = abs(C_inf - 0.5)
     _verdict(f"embedding constant 1/2 within 1e-3 (err={err:.2e})",
              err <= 1e-3)
 

@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fswe.basis import (BasisError, SpectralField, build_basis, embedding_constant, evaluate,
-                        lambda_power_sum, lambda_power_tail, project,
-                        sobolev_norm, weyl_ratio)
+from fswe.basis import (BasisError, build_basis, embedding_constant,
+                        lambda_power_sum, lambda_power_tail)
+from fswe.solver import COEFFICIENT_PRESETS, ModeState, hr_norm_at, make_setup
 
 PI2 = math.pi**2
+
+
+def hr_norm(basis, c, r):
+    """The solver's H_r norm of coefficients c, from a setup with that r."""
+    setup = make_setup(basis, 2.0 * r + 1.0, r, 1.0, 1,
+                       COEFFICIENT_PRESETS["zero"])
+    state = ModeState.zero(basis.mode_count)
+    state.u = np.asarray(c, dtype=float)
+    return hr_norm_at(state, setup)
 
 
 class TestEigenvalues:
@@ -34,12 +43,6 @@ class TestEigenvalues:
         basis = build_basis(d, 30)
         assert np.all(np.diff(basis.eigenvalues) >= 0)
 
-    def test_weyl_ratio_order_one(self):
-        # lambda_M * M^{-2/d} stays bounded away from 0 and infinity
-        for d in (1, 2):
-            r = weyl_ratio(build_basis(d, 200), 200)
-            assert 0.1 < r < 50.0
-
 
 class TestOrthonormality:
     @pytest.mark.parametrize("d,M", [(1, 12), (2, 9)])
@@ -54,15 +57,15 @@ class TestOrthonormality:
         basis = build_basis(1, 8)
         coeffs = np.array([1.0, -0.5, 0.25, 0.0, 2.0, 0.0, 0.0, -1.0])
         grid_vals = coeffs @ basis.evaluate_modes(basis.grid_points)
-        back = project(grid_vals, basis)
-        np.testing.assert_allclose(back.coefficients, coeffs, atol=1e-10)
+        back = basis.analyze(basis.quad_weights * grid_vals)
+        np.testing.assert_allclose(back, coeffs, atol=1e-10)
 
     def test_project_roundtrip_2d(self):
         basis = build_basis(2, 8)
         coeffs = np.array([1.0, -0.5, 0.25, 0.0, 2.0, 0.0, 0.0, -1.0])
         grid_vals = coeffs @ basis.evaluate_modes(basis.grid_points)
-        back = project(grid_vals, basis)
-        np.testing.assert_allclose(back.coefficients, coeffs, atol=1e-10)
+        back = basis.analyze(basis.quad_weights * grid_vals)
+        np.testing.assert_allclose(back, coeffs, atol=1e-10)
 
     def test_evaluate_single_mode(self):
         basis = build_basis(1, 3)
@@ -114,11 +117,10 @@ class TestTransforms:
         emb = embedding_constant(basis, r)
         modes = basis.evaluate_modes(basis.grid_points)
         dense = float(np.sqrt(np.max(basis.eigenvalues ** (-r) @ modes**2)))
-        assert emb.probe_points == basis.grid_size**d
         if d == 1:
-            assert emb.value == dense
+            assert emb == dense
         else:
-            assert abs(emb.value - dense) <= 1e-12 * dense
+            assert abs(emb - dense) <= 1e-12 * dense
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_quad_weights_cached_read_only(self, d):
@@ -150,23 +152,22 @@ class TestSobolevNorm:
         basis = build_basis(1, 8)
         c = np.zeros(8)
         c[3] = 1.0
-        fld = SpectralField(basis, c)
-        assert sobolev_norm(fld, 1.0) == pytest.approx(4 * math.pi)
+        assert hr_norm(basis, c, 1.0) == pytest.approx(4 * math.pi)
 
     def test_two_mode_example(self):
         basis = build_basis(1, 4)
-        fld = SpectralField(basis, np.array([1.0, 1.0, 0.0, 0.0]))
         expected = math.sqrt(PI2 + 4 * PI2)
-        assert sobolev_norm(fld, 1.0) == pytest.approx(expected)
+        assert hr_norm(basis, [1.0, 1.0, 0.0, 0.0], 1.0) == pytest.approx(
+            expected)
 
     @given(r1=st.floats(0.6, 1.4), r2=st.floats(1.5, 2.4),
            seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_r(self, r1, r2, seed):
         basis = build_basis(1, 6)
-        fld = SpectralField(basis, np.random.default_rng(seed).normal(size=6))
+        c = np.random.default_rng(seed).normal(size=6)
         # all eigenvalues exceed 1, so the norm grows with r
-        assert sobolev_norm(fld, r1) <= sobolev_norm(fld, r2) + 1e-12
+        assert hr_norm(basis, c, r1) <= hr_norm(basis, c, r2) + 1e-12
 
 
 class TestEmbeddingConstant:
@@ -182,11 +183,11 @@ class TestEmbeddingConstant:
 
     def test_value_approaches_half(self):
         emb = embedding_constant(build_basis(1, 400), 1.0)
-        assert abs(emb.value - 0.5) < 2e-3
+        assert abs(emb - 0.5) < 2e-3
 
     def test_monotone_in_modes(self):
-        v1 = embedding_constant(build_basis(1, 20), 1.0).value
-        v2 = embedding_constant(build_basis(1, 80), 1.0).value
+        v1 = embedding_constant(build_basis(1, 20), 1.0)
+        v2 = embedding_constant(build_basis(1, 80), 1.0)
         assert v1 <= v2 <= 0.5 + 1e-12
 
     def test_rejects_small_r(self):
@@ -201,8 +202,8 @@ class TestEmbeddingConstant:
         for _ in range(50):
             c = rng.normal(size=16)
             sup = np.max(np.abs(c @ basis.evaluate_modes(basis.grid_points)))
-            norm = sobolev_norm(SpectralField(basis, c), 1.0)
-            assert sup <= emb.value * norm + 1e-9
+            norm = hr_norm(basis, c, 1.0)
+            assert sup <= emb * norm + 1e-9
 
 
 class TestLambdaSums:

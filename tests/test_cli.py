@@ -63,6 +63,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="increasing"):
             RunConfig(K_schedule=[2.0, 1.0])
 
+    def test_k_schedule_below_cutoff_fatal(self, tmp_path):
+        # rejected when the config is read, not by the solver mid-run
+        payload = dict(BASE, noise={"variant": "stable", "alpha": 1.0,
+                                    "cutoff": 0.01},
+                       K_schedule=[0.005, 1.0])
+        with pytest.raises(ConfigError, match="cutoff"):
+            parse_config(write_config(tmp_path, payload))
+
 
 class TestCommands:
     def test_simulate_writes_artifacts(self, tmp_path):

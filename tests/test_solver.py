@@ -52,9 +52,19 @@ class TestValidation:
 
 class TestCoefficients:
     def test_presets_linear_growth(self):
+        # |b(x)| <= D_b (1+|x|) and the sigma analog: D_b, D_sigma feed hatC
+        def check_linear_growth(pair, rng):
+            xs = rng.uniform(-1e6, 1e6, size=1000)
+            bound = 1.0 + np.abs(xs)
+            assert np.all(np.abs(pair.b(xs)) <= pair.D_b * bound + 1e-9), \
+                f"drift of pair {pair.name!r} violates linear growth"
+            assert np.all(np.abs(pair.sigma(xs)) <= pair.D_sigma * bound
+                          + 1e-9), \
+                f"diffusion of pair {pair.name!r} violates linear growth"
+
         rng = np.random.default_rng(0)
         for pair in COEFFICIENT_PRESETS.values():
-            pair.check_linear_growth(rng)
+            check_linear_growth(pair, rng)
         # the constant parts are read-only broadcasts with the values, shape
         # and dtype of a fresh ones/zeros array, so no call allocates one
         for x in (0.7, np.linspace(-3.0, 3.0, 12), np.ones((4, 3), dtype=int)):
@@ -353,5 +363,4 @@ class TestOnePassPasting:
 class TestEmbeddingInteraction:
     def test_setup_uses_embedding_constant(self, basis):
         setup = setup_for(basis, "wave")
-        emb = embedding_constant(basis, 1.0)
-        assert setup.C_inf == pytest.approx(emb.value)
+        assert setup.C_inf == pytest.approx(embedding_constant(basis, 1.0))

@@ -25,7 +25,7 @@ class TestConstants:
     def test_hatC_reference_value(self):
         # T=1, D_b=D_sigma=m2=1, gamma=2, r=1: 4(1+16) sum 1/lambda = 34/3
         basis = build_basis(1, 2000)
-        c = hatC(1.0, 1.0, 1.0, 1.0, basis, 1.0, 2.0, with_tail=True)
+        c = hatC(1.0, 1.0, 1.0, 1.0, basis, 1.0, 2.0)
         assert c == pytest.approx(34.0 / 3.0, rel=1e-4)
 
     def test_hatC_linear_in_m2_for_pure_noise(self):
