@@ -11,8 +11,7 @@ from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, NoiseError,
 from .solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
                      SolverError, SolveSetup, StoppingRecord, Trajectory,
                      detect_stop, make_setup, paste_over_K, paste_over_N,
-                     solve_truncated, solve_untruncated,
-                     truncate_coefficients)
+                     solve_truncated, solve_untruncated)
 from .verify import (EnsembleReport, Verdict, additive_linear_suite,
                      check_moment_bound, check_tail_bound, consistency_suite,
                      hatC, isometry_suite, mode_variance_closed_form,

@@ -121,9 +121,13 @@ class EigenBasis:
         """Field values sum_k u_k e_k at every node or cell centre, in the
         flattened order of grid_points / cell_centers.
 
-        u has shape (..., M); the result has shape (..., n_points). In d=2
-        the sum runs as S.T @ C @ S over the (kmax, kmax) coefficient
-        matrix C, so no (M, n_points) table is formed.
+        u has shape (..., M); the result has shape (..., n_points). In d=1
+        this is the table product u @ S with matmul broadcasting: a 2-D u
+        is one matrix product, whose row bytes depend on the other rows,
+        while a stack of 1-row matrices, shape (rows, 1, M), gives each row
+        the bytes it has alone. In d=2 the sum runs as S.T @ C @ S over the
+        (kmax, kmax) coefficient matrix C of each leading index, so no
+        (M, n_points) table is formed.
         """
         S = self._sine_table(where)
         if self.dimension == 1:
@@ -136,16 +140,20 @@ class EigenBasis:
 
     def analyze(self, v: np.ndarray, where: str = "grid") -> np.ndarray:
         """Transpose of synthesize: sum_x e_k(x) v(x) over the nodes or cell
-        centres, shape (M,). Quadrature weights are the caller's to apply.
+        centres. Quadrature weights are the caller's to apply.
 
-        In d=2 it reads the mode entries of S @ V @ S.T, V the values
-        reshaped to (n1, n1).
+        v has shape (..., n_points) and the result (..., M); each leading
+        index is transformed on its own and gets the bytes it has alone. In
+        d=1 that is a stack of products S @ v; in d=2 it reads the mode
+        entries of S @ V @ S.T, V the values reshaped to (..., n1, n1).
         """
         S = self._sine_table(where)
+        v = np.asarray(v)
         if self.dimension == 1:
-            return S @ v
+            return (S @ v[..., None])[..., 0]
         n1 = S.shape[1]
-        return (S @ np.reshape(v, (n1, n1)) @ S.T)[self._pair_index]
+        V = np.reshape(v, v.shape[:-1] + (n1, n1))
+        return (S @ V @ S.T)[(...,) + self._pair_index]
 
     # ---- cells (between grid nodes), used for the Gaussian noise surrogate ----
 

@@ -165,6 +165,9 @@ def _json_inf(obj):
 # ---------------------------------------------------------------------------
 # subcommands
 
+_NEEDS_K_SCHEDULE = "infinite-variance noise requires a K_schedule for pasting"
+
+
 def _solve_one(config: RunConfig, setup: SolveSetup, seed: int) -> Trajectory:
     spec = config.levy_spec()
     path = sample_path(spec, config.T, config.n_steps, seed,
@@ -175,8 +178,7 @@ def _solve_one(config: RunConfig, setup: SolveSetup, seed: int) -> Trajectory:
                             K_schedule=tuple(config.K_schedule),
                             N_max=config.N_max)
     if not spec.has_finite_variance:
-        raise ConfigError(
-            "infinite-variance noise requires a K_schedule for pasting")
+        raise ConfigError(_NEEDS_K_SCHEDULE)
     return paste_over_N(path, setup, N_max=config.N_max)
 
 
@@ -214,9 +216,10 @@ def cmd_ensemble(config: RunConfig, seed: int, out: Path,
     seeds = [verify_mod.replica_seed(seed, i) for i in range(replicas)]
     if workers > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ensemble_worker,
-                                    [(config.to_dict(), s) for s in seeds]))
+        with cf.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_ensemble_worker,
+                initargs=(config.to_dict(),)) as pool:
+            results = list(pool.map(_ensemble_worker, seeds))
         for i, traj in enumerate(results):
             trajs[f"replica_{i}"] = traj
     else:
@@ -230,10 +233,20 @@ def cmd_ensemble(config: RunConfig, seed: int, out: Path,
     return 0
 
 
-def _ensemble_worker(args):
-    cfg_dict, s = args
+# (config, setup) of an ensemble worker process, built once per process by
+# _init_ensemble_worker, so the basis and C_inf are not rebuilt per replica
+_worker_state: tuple[RunConfig, SolveSetup] | None = None
+
+
+def _init_ensemble_worker(cfg_dict: dict) -> None:
+    global _worker_state
     config = RunConfig(**cfg_dict)
-    return _solve_one(config, config.build(), s)
+    _worker_state = (config, config.build())
+
+
+def _ensemble_worker(seed: int) -> Trajectory:
+    config, setup = _worker_state
+    return _solve_one(config, setup, seed)
 
 
 _SUITES = ("isometry", "additive", "moment", "tail", "survival", "consistency")
@@ -265,11 +278,19 @@ def cmd_verify(config: RunConfig, seed: int, out: Path, replicas: int,
             report = verify_mod.check_tail_bound(setup, spec, R=replicas,
                                                  base_seed=seed)
         else:
-            stable = LevyMeasureSpec(variant="stable", alpha=1.0,
-                                     cutoff=DEFAULT_STABLE_CUTOFF)
+            if spec.variant == "stable":
+                # the (K, K+1) check on the config's own measure, at its
+                # first truncation level
+                if config.K_schedule is None:
+                    raise ConfigError(_NEEDS_K_SCHEDULE)
+                stable, K = spec, config.K_schedule[0]
+            else:
+                stable = LevyMeasureSpec(variant="stable", alpha=1.0,
+                                         cutoff=DEFAULT_STABLE_CUTOFF)
+                K = 1.0
             report = verify_mod.consistency_suite(
                 setup, spec, stable_spec=stable, n_seeds=replicas,
-                base_seed=seed)
+                base_seed=seed, K=K)
     for v in report.verdicts:
         print(v)
     out.mkdir(parents=True, exist_ok=True)

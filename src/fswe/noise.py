@@ -163,10 +163,11 @@ class NoisePath:
         """Index n of the step with n dt <= t < (n+1) dt for each time."""
         return np.searchsorted(self.step_edges, times, side="right") - 1
 
-    def jumps_in_step(self, n: int) -> slice:
-        """Index slice of the jumps that step_of assigns to step n."""
-        lo, hi = np.searchsorted(self.jump_times, self.step_edges[n:n + 2])
-        return slice(lo, hi)
+    def jump_bounds(self) -> np.ndarray:
+        """Index of the first jump at or after each step edge, shape
+        (n_steps + 1,): step_of assigns jumps bounds[n] .. bounds[n+1] - 1
+        to step n. Computed per call; a solve keeps its own copy."""
+        return np.searchsorted(self.jump_times, self.step_edges)
 
     def cell_index(self, positions: np.ndarray) -> np.ndarray:
         """Flattened cell index of each position, shape (J,)."""

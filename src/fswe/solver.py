@@ -15,8 +15,10 @@ step start (left-point rule), the discrete counterpart of predictability.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,22 +77,23 @@ COEFFICIENT_PRESETS = {
 }
 
 
-def truncate_coefficients(pair: CoefficientPair, N: int,
-                          C_inf: float) -> CoefficientPair:
-    """Clamp the argument at +-C_inf*N; the result is globally Lipschitz and
-    keeps the same linear-growth constants."""
+def clamp_radius(N: int, C_inf: float) -> float:
+    """C_inf*N, the radius at which level N clamps the argument of b and
+    sigma; the clamped pair is globally Lipschitz and keeps the same
+    linear-growth constants."""
     if N < 1 or C_inf <= 0:
         raise SolverError(f"need N >= 1 and C_inf > 0, got N={N}, C_inf={C_inf}")
-    radius = C_inf * N
+    return C_inf * N
 
-    def b_trunc(x, _b=pair.b, _r=radius):
-        return _b(np.clip(x, -_r, _r))
 
-    def sigma_trunc(x, _s=pair.sigma, _r=radius):
-        return _s(np.clip(x, -_r, _r))
-
-    return replace(pair, b=b_trunc, sigma=sigma_trunc,
-                   name=f"{pair.name}_trunc{N}")
+def _clamped(f, x: np.ndarray, radius: np.ndarray | None) -> np.ndarray:
+    """f at x clamped to [-radius, radius]; radius None clamps nothing. The
+    constant presets ignore their argument, so they skip the clip."""
+    if radius is None or f is _zero or f is _one:
+        return f(x)
+    # np.clip's values, in half its time for per-row radii
+    x = np.maximum(x, -radius)
+    return f(np.minimum(x, radius, out=x))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,13 @@ class SolveSetup:
     def dt(self) -> float:
         return self.T / self.n_steps
 
+    @functools.cached_property
+    def phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """cos(omega t_n) and sin(omega t_n) at the grid times t_n = n dt,
+        each of shape (n_steps + 1, M); tabulated on first use."""
+        wt = (np.arange(self.n_steps + 1) * self.dt)[:, None] * self.omega
+        return np.cos(wt), np.sin(wt)
+
 
 def make_setup(basis: EigenBasis, gamma: float, r: float, T: float,
                n_steps: int, pair: CoefficientPair,
@@ -162,7 +172,11 @@ def make_setup(basis: EigenBasis, gamma: float, r: float, T: float,
 
 @dataclass
 class ModeState:
-    """Accumulators and current coefficients at one grid time."""
+    """Accumulators and current coefficients at one grid time.
+
+    The arrays have shape (M,) for one field, or (rows, M) for the batch of
+    rows that step advances together.
+    """
 
     t: float
     drift_cos: np.ndarray   # A_k
@@ -172,19 +186,28 @@ class ModeState:
     u: np.ndarray           # current mode coefficients
 
     @classmethod
-    def zero(cls, M: int) -> "ModeState":
-        return cls(t=0.0, drift_cos=np.zeros(M), drift_sin=np.zeros(M),
-                   mart_cos=np.zeros(M), mart_sin=np.zeros(M), u=np.zeros(M))
+    def zero(cls, shape: int | tuple[int, int]) -> "ModeState":
+        """The zero state at t=0; shape is M or (rows, M)."""
+        return cls(t=0.0, drift_cos=np.zeros(shape), drift_sin=np.zeros(shape),
+                   mart_cos=np.zeros(shape), mart_sin=np.zeros(shape),
+                   u=np.zeros(shape))
 
-    def rebuild_u(self, omega: np.ndarray) -> np.ndarray:
-        """Coefficients implied by the accumulator identity at time t."""
-        return (np.sin(omega * self.t) * (self.drift_cos + self.mart_cos)
-                - np.cos(omega * self.t) * (self.drift_sin + self.mart_sin)
-                ) / omega
+    def rebuild_u(self, omega: np.ndarray, cos_t: np.ndarray | None = None,
+                  sin_t: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients implied by the accumulator identity at time t.
+
+        cos_t and sin_t are cos(omega t) and sin(omega t); they are computed
+        here when the caller does not pass them."""
+        if cos_t is None:
+            cos_t, sin_t = np.cos(omega * self.t), np.sin(omega * self.t)
+        return (sin_t * (self.drift_cos + self.mart_cos)
+                - cos_t * (self.drift_sin + self.mart_sin)) / omega
 
 
-def hr_norm_at(state: ModeState, setup: SolveSetup) -> float:
-    return float(np.sqrt(np.sum(setup.lam_r * state.u**2)))
+def hr_norm_at(state: ModeState, setup: SolveSetup):
+    """H_r norm of the coefficients: a scalar for one field, shape (rows,)
+    for a batch."""
+    return np.sqrt(np.sum(setup.lam_r * state.u**2, axis=-1))
 
 
 def _check_path(path: NoisePath, setup: SolveSetup) -> None:
@@ -197,57 +220,124 @@ def _check_path(path: NoisePath, setup: SolveSetup) -> None:
         raise SolverError("path surrogate cells do not match the quadrature grid")
 
 
-def step(state: ModeState, path: NoisePath, n: int,
-         setup: SolveSetup, pair: CoefficientPair) -> ModeState:
-    """Advance one step [n dt, (n+1) dt) with left-point evaluation."""
+@dataclass(frozen=True)
+class RowGroup:
+    """The rows of a batch that one noise path drives."""
+
+    path: NoisePath
+    rows: slice | np.ndarray
+    jump_bounds: list[int]  # index of the first jump at or after each step edge
+
+
+def row_groups(paths: Sequence[NoisePath],
+               setup: SolveSetup) -> list[RowGroup]:
+    """Group the rows of a batch by path: row i is driven by paths[i].
+
+    Rows given the same path object share a group. Every path must match
+    the setup, and all of them one Levy measure.
+    """
+    rows_of: dict[int, tuple[NoisePath, list[int]]] = {}
+    for i, path in enumerate(paths):
+        rows_of.setdefault(id(path), (path, []))[1].append(i)
+    groups = []
+    for path, rows in rows_of.values():
+        _check_path(path, setup)
+        if path.spec != paths[0].spec:
+            raise SolverError("the rows of a batch must share one Levy measure")
+        contiguous = rows[-1] - rows[0] + 1 == len(rows)
+        groups.append(RowGroup(
+            path=path,
+            rows=slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows),
+            jump_bounds=path.jump_bounds().tolist()))
+    return groups
+
+
+def step(state: ModeState, groups: Sequence[RowGroup], n: int,
+         setup: SolveSetup, radius: np.ndarray | None) -> ModeState:
+    """Advance every row one step [n dt, (n+1) dt) with left-point evaluation.
+
+    The state arrays have shape (rows, M), and each group's path drives the
+    group's rows. Row i clamps the argument of b and sigma at +-radius[i];
+    radius None clamps nothing. Every product is a stack of one-row
+    products, so a row gets the same bytes in any batch, alone included.
+    """
     bas = setup.basis
+    pair = setup.pair
     omega = setup.omega
     dt = setup.dt
-    t0 = n * dt
+    cos_t, sin_t = setup.phases
     u = state.u
-    A, B = state.drift_cos.copy(), state.drift_sin.copy()
+    r = None if radius is None else radius[:, None]
+    A, B = state.drift_cos, state.drift_sin
     Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
 
-    need_compensator = path.spec.m1 != 0.0 and pair.D_sigma != 0.0
+    m1 = groups[0].path.spec.m1
+    need_compensator = m1 != 0.0 and pair.D_sigma != 0.0
     if pair.D_b != 0.0 or need_compensator:
-        u_grid = bas.synthesize(u)
+        u_grid = bas.synthesize(u[:, None])[:, 0]
     if pair.D_b != 0.0:
-        beta = bas.analyze(bas.quad_weights * pair.b(u_grid))
-        A = A + dt * np.cos(omega * t0) * beta
-        B = B + dt * np.sin(omega * t0) * beta
+        beta = bas.analyze(bas.quad_weights * _clamped(pair.b, u_grid, r))
+        A = A + dt * cos_t[n] * beta
+        B = B + dt * sin_t[n] * beta
 
-    sl = path.jumps_in_step(n)
-    if sl.stop > sl.start:
-        tj = path.jump_times[sl]
-        xj = path.jump_positions[sl]
-        zj = path.jump_sizes[sl]
-        modes_j = bas.evaluate_modes(xj)                 # (M, nj)
-        u_at_j = u @ modes_j                             # field frozen at t0
-        w = pair.sigma(u_at_j) * zj
-        phase = np.outer(omega, tj)
-        Mc = Mc + (np.cos(phase) * modes_j) @ w
-        Ms = Ms + (np.sin(phase) * modes_j) @ w
+    for g in groups:
+        lo, hi = g.jump_bounds[n], g.jump_bounds[n + 1]
+        if hi > lo:
+            rows = g.rows
+            modes_j = bas.evaluate_modes(g.path.jump_positions[lo:hi])
+            u_at_j = (u[rows, None] @ modes_j)[:, 0]    # field frozen at t0
+            w = (_clamped(pair.sigma, u_at_j, None if r is None else r[rows])
+                 * g.path.jump_sizes[lo:hi])[:, :, None]
+            phase = np.outer(omega, g.path.jump_times[lo:hi])
+            Mc[rows] += ((np.cos(phase) * modes_j) @ w)[:, :, 0]
+            Ms[rows] += ((np.sin(phase) * modes_j) @ w)[:, :, 0]
 
     if need_compensator:
         # compensator of asymmetric finite-activity jumps, left-point rule
-        m1 = path.spec.m1
-        comp = bas.analyze(bas.quad_weights * pair.sigma(u_grid))
-        Mc = Mc - m1 * dt * np.cos(omega * t0) * comp
-        Ms = Ms - m1 * dt * np.sin(omega * t0) * comp
+        comp = bas.analyze(bas.quad_weights * _clamped(pair.sigma, u_grid, r))
+        Mc -= m1 * dt * cos_t[n] * comp
+        Ms -= m1 * dt * sin_t[n] * comp
 
-    if path.surrogate is not None:
-        g = path.surrogate[n]
-        if np.any(g):
-            u_cells = bas.synthesize(u, "cells")
-            proj = bas.analyze(pair.sigma(u_cells) * g, "cells")
-            Mc = Mc + np.cos(omega * t0) * proj
-            Ms = Ms + np.sin(omega * t0) * proj
+    for g in groups:
+        if g.path.surrogate is None:
+            continue
+        noise = g.path.surrogate[n]   # a view: whole-path surrogates are big
+        if np.any(noise):
+            rows = g.rows
+            u_cells = bas.synthesize(u[rows, None], "cells")[:, 0]
+            sig = _clamped(pair.sigma, u_cells, None if r is None else r[rows])
+            proj = bas.analyze(sig * noise, "cells")
+            Mc[rows] += cos_t[n] * proj
+            Ms[rows] += sin_t[n] * proj
 
-    t1 = (n + 1) * dt
-    new = ModeState(t=t1, drift_cos=A, drift_sin=B, mart_cos=Mc, mart_sin=Ms,
-                    u=np.empty_like(u))
-    new.u = new.rebuild_u(omega)
+    new = ModeState(t=(n + 1) * dt, drift_cos=A, drift_sin=B, mart_cos=Mc,
+                    mart_sin=Ms, u=u)
+    new.u = new.rebuild_u(omega, cos_t[n + 1], sin_t[n + 1])
     return new
+
+
+def solve_rows(paths: Sequence[NoisePath], setup: SolveSetup,
+               radius: np.ndarray | None,
+               keep: slice = slice(0)) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a batch of rows from zero over the whole grid, one step call
+    per grid step: row i is driven by paths[i] and clamped at radius[i]
+    (radius None clamps no row).
+
+    Returns the H_r norms, shape (rows, n_steps + 1), and the coefficient
+    histories of the rows that ``keep`` selects, shape
+    (kept, n_steps + 1, M); no other row's history is stored.
+    """
+    groups = row_groups(paths, setup)
+    rows = len(paths)
+    M = setup.basis.mode_count
+    state = ModeState.zero((rows, M))
+    norms = np.zeros((rows, setup.n_steps + 1))
+    coeffs = np.zeros((len(range(rows)[keep]), setup.n_steps + 1, M))
+    for n in range(setup.n_steps):
+        state = step(state, groups, n, setup, radius)
+        norms[:, n + 1] = hr_norm_at(state, setup)
+        coeffs[:, n + 1] = state.u[keep]
+    return norms, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +362,15 @@ class Trajectory:
 
 
 def _run(path: NoisePath, setup: SolveSetup,
-         pair: CoefficientPair) -> Trajectory:
-    _check_path(path, setup)
-    M = setup.basis.mode_count
+         radius: float | None) -> Trajectory:
+    """One row of the batched kernel: path clamped at radius (None: not at
+    all)."""
+    norms, coeffs = solve_rows(
+        [path], setup, None if radius is None else np.array([radius]),
+        keep=slice(None))
     n_steps = setup.n_steps
-    state = ModeState.zero(M)
-    times = np.linspace(0.0, setup.T, n_steps + 1)
-    coeffs = np.zeros((n_steps + 1, M))
-    norms = np.zeros(n_steps + 1)
-    for n in range(n_steps):
-        state = step(state, path, n, setup, pair)
-        coeffs[n + 1] = state.u
-        norms[n + 1] = hr_norm_at(state, setup)
-    return Trajectory(times=times, hr_norms=norms, coeffs=coeffs,
+    return Trajectory(times=np.linspace(0.0, setup.T, n_steps + 1),
+                      hr_norms=norms[0], coeffs=coeffs[0],
                       active_N=np.zeros(n_steps + 1, dtype=int),
                       active_K=np.full(n_steps + 1, math.inf),
                       stopping=StoppingRecord())
@@ -292,21 +378,26 @@ def _run(path: NoisePath, setup: SolveSetup,
 
 def solve_untruncated(path: NoisePath, setup: SolveSetup) -> Trajectory:
     """Solve with the raw coefficient pair (linear/additive oracles)."""
-    return _run(path, setup, setup.pair)
+    return _run(path, setup, None)
+
+
+def stop_times(times: np.ndarray, norms: np.ndarray,
+               levels) -> np.ndarray:
+    """First grid time at which each row of norms, shape (rows, n_times),
+    exceeds its level, or +inf."""
+    over = norms > np.asarray(levels)[:, None]
+    return np.where(over.any(axis=1), times[over.argmax(axis=1)], math.inf)
 
 
 def detect_stop(trajectory: Trajectory, N: float) -> float:
     """First grid time with H_r norm > N, or +inf."""
-    over = trajectory.hr_norms > N
-    if not over.any():
-        return math.inf
-    return float(trajectory.times[int(np.argmax(over))])
+    return float(stop_times(trajectory.times, trajectory.hr_norms[None],
+                            [N])[0])
 
 
 def solve_truncated(N: int, path: NoisePath, setup: SolveSetup) -> Trajectory:
     """Solve with coefficients clamped at +-C_inf*N and record tau_N."""
-    pair_N = truncate_coefficients(setup.pair, N, setup.C_inf)
-    traj = _run(path, setup, pair_N)
+    traj = _run(path, setup, clamp_radius(N, setup.C_inf))
     traj.active_N[:] = N
     tau = detect_stop(traj, N)
     traj.stopping.tau_by_N[N] = tau
@@ -337,20 +428,20 @@ def _paste(path: NoisePath, setup: SolveSetup, K_schedule: tuple[float, ...],
     active_N = np.zeros(n_steps + 1, dtype=int)
     active_K = np.zeros(n_steps + 1)
     record = StoppingRecord()
-    state = ModeState.zero(setup.basis.mode_count)
+    state = ModeState.zero((1, setup.basis.mode_count))
     N = 1
-    pair_N = truncate_coefficients(setup.pair, N, setup.C_inf)
+    radius = np.array([clamp_radius(N, setup.C_inf)])
     k, tau_K = -1, -math.inf  # the first K level is entered at grid index 0
     for n in range(n_steps + 1):
         while times[n] >= tau_K and k + 1 < len(K_schedule):
             k += 1
             K = K_schedule[k]
-            path_K = truncate(path, K)
+            groups = row_groups([truncate(path, K)], setup)
             tau_K = record.tau_by_K[K] = first_large_jump(path, K)
         if n:
-            state = step(state, path_K, n - 1, setup, pair_N)
-            coeffs[n] = state.u
-            norms[n] = hr_norm_at(state, setup)
+            state = step(state, groups, n - 1, setup, radius)
+            coeffs[n] = state.u[0]
+            norms[n] = hr_norm_at(state, setup)[0]
         while not record.cap_reached and norms[n] > N:
             tau = float(times[n])
             record.tau_by_N[N] = tau
@@ -359,7 +450,7 @@ def _paste(path: NoisePath, setup: SolveSetup, K_schedule: tuple[float, ...],
                 record.cap_reached = True
             else:
                 N += 1
-                pair_N = truncate_coefficients(setup.pair, N, setup.C_inf)
+                radius = np.array([clamp_radius(N, setup.C_inf)])
         active_N[n] = N
         active_K[n] = K
     record.tau_by_N.setdefault(N, math.inf)

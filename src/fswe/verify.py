@@ -18,9 +18,15 @@ import numpy as np
 from .basis import EigenBasis, lambda_power_sum, lambda_power_tail
 from .noise import (LevyMeasureSpec, NoisePath, first_large_jump,
                     integrate_step_field, sample_path, truncate, zero_after)
-from .solver import (COEFFICIENT_PRESETS, SolveSetup, detect_stop, make_setup,
-                     paste_over_N, solve_truncated, solve_untruncated,
-                     truncate_coefficients, _run)
+from .solver import (COEFFICIENT_PRESETS, SolveSetup, clamp_radius,
+                     make_setup, paste_over_N, solve_rows, solve_truncated,
+                     solve_untruncated, stop_times)
+
+# Float64 values one batched solve of a bound suite may hold: its rows
+# times the grid points, the size of a step's largest temporaries, plus
+# the coefficient histories it keeps. About 2 MB per array, whatever the
+# replica count, unless one replica's rows alone exceed it (d=2).
+_BLOCK_VALUES = 1 << 18
 
 
 def replica_seed(base: int, index: int) -> int:
@@ -201,12 +207,48 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
     return EnsembleReport("additive_linear", R, base_seed, verdicts)
 
 
+def _replica_blocks(setup: SolveSetup, R: int, levels: int,
+                    kept: int = 0) -> list[range]:
+    """Consecutive replica ranges, each small enough that its rows (one per
+    replica and level) times the grid points, plus ``kept`` coefficient
+    histories per replica, stay within _BLOCK_VALUES."""
+    points = setup.basis.grid_size ** setup.basis.dimension
+    history = (setup.n_steps + 1) * setup.basis.mode_count
+    size = max(1, _BLOCK_VALUES // (levels * points + kept * history))
+    return [range(lo, min(lo + size, R)) for lo in range(0, R, size)]
+
+
+def _solve_levels(setup: SolveSetup, spec: LevyMeasureSpec, base_seed: int,
+                  block: range, N_values: tuple[int, ...],
+                  keep: slice = slice(0)) -> tuple[np.ndarray, np.ndarray]:
+    """Draw each replica's path of the block once and solve it at every
+    level N in one batch: row i*len(N_values) + j is replica block[i] at
+    level N_values[j], solved from t=0 on its own row. Returns solve_rows'
+    norms and kept coefficient histories."""
+    paths = [sample_path(spec, setup.T, setup.n_steps,
+                         replica_seed(base_seed, i),
+                         cells_per_dim=setup.basis.grid_size - 1,
+                         dimension=setup.basis.dimension)
+             for i in block]
+    radius = np.tile([clamp_radius(N, setup.C_inf) for N in N_values],
+                     len(paths))
+    return solve_rows([p for p in paths for _ in N_values], setup, radius,
+                      keep)
+
+
 def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
                        N_values: tuple[int, ...] = (1, 2, 4, 8),
                        R: int = 1000, base_seed: int = 11,
                        corrupt: bool = False) -> EnsembleReport:
     """Ensemble mean of sup_t ||u_N||^2_{H_r} against the exponential bound,
-    per truncation level N; also reports the pointwise second-moment sup."""
+    per truncation level N; also reports the pointwise second-moment sup.
+
+    Each replica's path is drawn once, and a block of replicas solves all
+    its (replica, N) rows with one step call per grid step; every row has
+    the bytes solve_truncated(N, path, setup) gives it. Only the first
+    level's coefficient histories are kept, for the pointwise sup, and the
+    block size counts them.
+    """
     if not spec.has_finite_variance:
         raise ValueError("the moment bound applies to finite-variance noise")
     bound = moment_growth_bound(setup, spec.m2)
@@ -217,31 +259,29 @@ def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
         "m2": spec.m2, "C_inf": setup.C_inf,
         "lambda_sum": lambda_power_sum(setup.basis, setup.r - setup.gamma),
     }
-    verdicts = []
+    L = len(N_values)
+    sums = np.zeros((L, 2))   # per level: running sum, sum of squares
     sq_field_mean = np.zeros(setup.basis.grid_size**setup.basis.dimension)
-    n_field_samples = 0
-    for N in N_values:
-        sums = np.zeros(2)
-        for i in range(R):
-            path = sample_path(spec, setup.T, setup.n_steps,
-                               replica_seed(base_seed, i),
-                               cells_per_dim=setup.basis.grid_size - 1,
-                               dimension=setup.basis.dimension)
-            traj = solve_truncated(N, path, setup)
-            v = float(np.max(traj.hr_norms**2))
-            sums += (v, v * v)
-            if N == N_values[0]:
-                sq_field_mean += np.mean(
-                    setup.basis.synthesize(traj.coeffs) ** 2, axis=0)
-                n_field_samples += 1
-        mean = sums[0] / R
-        se = math.sqrt(max(sums[1] / R - mean**2, 0.0) / R)
+    for block in _replica_blocks(setup, R, L, kept=1):
+        norms, first_level = _solve_levels(setup, spec, base_seed, block,
+                                           N_values, keep=slice(0, None, L))
+        peaks = np.max(norms**2, axis=1).reshape(len(block), L)
+        for replica_peaks, coeffs in zip(peaks.tolist(), first_level):
+            for j, v in enumerate(replica_peaks):
+                sums[j] += (v, v * v)
+            # a plain 2-D product over the history, as for one trajectory
+            sq_field_mean += np.mean(setup.basis.synthesize(coeffs) ** 2,
+                                     axis=0)
+    verdicts = []
+    for N, (total, total_sq) in zip(N_values, sums):
+        mean = total / R
+        se = math.sqrt(max(total_sq / R - mean**2, 0.0) / R)
         verdicts.append(Verdict(
             name=f"moment bound at N={N}", passed=mean + 3 * se <= bound,
             observed=mean, reference=bound, margin=3 * se, inputs=inputs,
         ))
     # K_T-style diagnostic: grid max of time-averaged pointwise second moments
-    k_t = float(np.max(sq_field_mean / max(n_field_samples, 1)))
+    k_t = float(np.max(sq_field_mean / max(R, 1)))
     verdicts.append(Verdict(
         name="pointwise second-moment sup (finite)",
         passed=math.isfinite(k_t), observed=k_t, reference=math.inf,
@@ -255,7 +295,14 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
                      R: int = 1000, base_seed: int = 13,
                      corrupt: bool = False) -> EnsembleReport:
     """Chebyshev tail P(tau_N <= T) <= N^-2 T hatC exp(T hatC C_inf^2) and
-    monotonicity of tau_N across coupled replicas."""
+    monotonicity of tau_N across coupled replicas.
+
+    Each replica's path is drawn once, and a block of replicas solves all
+    its (replica, N) rows with one step call per grid step. Every row has
+    the bytes solve_truncated(N, path, setup) gives it: each level is
+    solved from t=0 on its own row, none is derived from another, so the
+    monotonicity verdict still tests the coupling.
+    """
     bound_base = moment_growth_bound(setup, spec.m2)
     if corrupt:
         bound_base *= 1e-6
@@ -264,19 +311,15 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
         "m2": spec.m2, "C_inf": setup.C_inf,
         "lambda_sum": lambda_power_sum(setup.basis, setup.r - setup.gamma),
     }
-    taus = np.zeros((len(N_values), R))
-    for i in range(R):
-        path = sample_path(spec, setup.T, setup.n_steps,
-                           replica_seed(base_seed, i),
-                           cells_per_dim=setup.basis.grid_size - 1,
-                           dimension=setup.basis.dimension)
-        for j, N in enumerate(N_values):
-            traj = solve_truncated(N, path, setup)
-            if corrupt:
-                # sabotage the detector so the tail check must trip
-                taus[j, i] = detect_stop(traj, 1e-6 * N)
-            else:
-                taus[j, i] = traj.stopping.tau_by_N[N]
+    L = len(N_values)
+    # corrupt mode sabotages the detector so the tail check must trip
+    levels = [1e-6 * N if corrupt else N for N in N_values]
+    times = np.linspace(0.0, setup.T, setup.n_steps + 1)
+    taus = np.zeros((L, R))
+    for block in _replica_blocks(setup, R, L):
+        norms, _ = _solve_levels(setup, spec, base_seed, block, N_values)
+        taus[:, block.start:block.stop] = stop_times(
+            times, norms, levels * len(block)).reshape(len(block), L).T
     verdicts = []
     probs = (taus <= setup.T).mean(axis=1)
     # cap at T + dt so inf - inf never pollutes the monotonicity diffs
@@ -338,6 +381,7 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
     """Coupled-run identities: (N, N+1) agreement before tau_N, (K, K+1)
     agreement before tau^K, and the zero-the-future localization test."""
     dt = setup.dt
+    times = np.linspace(0.0, setup.T, setup.n_steps + 1)
     n_ok = k_ok = loc_ok = 0
     k_total = 0
     rng = np.random.default_rng(base_seed)
@@ -347,15 +391,17 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
                            cells_per_dim=setup.basis.grid_size - 1,
                            dimension=setup.basis.dimension)
         if corrupt:
-            pair_bad = truncate_coefficients(setup.pair, N, 0.05 * setup.C_inf)
-            traj_N = _run(path, setup, pair_bad)
-            traj_N.stopping.tau_by_N[N] = detect_stop(traj_N, N)
+            # level N clamped at a twentieth of its radius
+            norms, coeffs = solve_rows(
+                [path], setup, np.array([clamp_radius(N, 0.05 * setup.C_inf)]),
+                keep=slice(None))
+            coeffs_N, tau = coeffs[0], float(stop_times(times, norms, [N])[0])
         else:
             traj_N = solve_truncated(N, path, setup)
+            coeffs_N, tau = traj_N.coeffs, traj_N.stopping.tau_by_N[N]
         traj_N1 = solve_truncated(N + 1, path, setup)
-        tau = traj_N.stopping.tau_by_N[N]
         upto = setup.n_steps + 1 if math.isinf(tau) else int(round(tau / dt))
-        if _prefix_equal(traj_N.coeffs, traj_N1.coeffs, upto):
+        if _prefix_equal(coeffs_N, traj_N1.coeffs, upto):
             n_ok += 1
 
         # localization: zeroing the future never changes the past
@@ -383,9 +429,7 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
                                    jump_sizes=spath_K1.jump_sizes[keep])
             traj_K1 = paste_over_N(spath_K1, setup)
             upto_K = (setup.n_steps + 1 if math.isinf(tau_K)
-                      else int(np.searchsorted(np.linspace(0, setup.T,
-                                                           setup.n_steps + 1),
-                                               tau_K, side="left")))
+                      else int(np.searchsorted(times, tau_K, side="left")))
             k_total += 1
             if _prefix_equal(traj_K.coeffs, traj_K1.coeffs, upto_K):
                 k_ok += 1
@@ -402,5 +446,6 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
         verdicts.append(Verdict(
             name="(K, K+1) coupling bit-exact before tau^K",
             passed=k_ok == k_total, observed=k_ok, reference=k_total,
-            margin=0.0, inputs={"K": K}))
+            margin=0.0, inputs={"K": K, "alpha": stable_spec.alpha,
+                                "cutoff": stable_spec.cutoff}))
     return EnsembleReport("consistency", n_seeds, base_seed, verdicts)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fswe.cli as cli_mod
 from fswe.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -131,6 +132,69 @@ class TestCommands:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True
+
+    def test_ensemble_workers_match_one_process(self, tmp_path):
+        cfg = write_config(tmp_path, BASE)
+        outs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"ens{workers}"
+            assert main(["--config", str(cfg), "--seed", "4", "--out",
+                         str(out), "--replicas", "3", "--workers",
+                         str(workers), "ensemble"]) == 0
+            outs[workers] = out
+        assert sorted(p.name for p in outs[1].iterdir()) == \
+            sorted(p.name for p in outs[2].iterdir())
+        for i in range(3):
+            name = f"replica_{i}.csv"
+            assert (outs[1] / name).read_bytes() == \
+                (outs[2] / name).read_bytes()
+        one, two = (json.loads((outs[w] / "summary.json").read_text())
+                    for w in (1, 2))
+        one.pop("runtime_seconds")
+        two.pop("runtime_seconds")
+        assert one == two
+
+    def test_ensemble_worker_builds_setup_once(self, monkeypatch):
+        builds = []
+        build = RunConfig.build
+
+        def counted(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(RunConfig, "build", counted)
+        monkeypatch.setattr(cli_mod, "_worker_state", None)
+        cli_mod._init_ensemble_worker(RunConfig(**BASE).to_dict())
+        for seed in (0, 1, 2):
+            assert cli_mod._ensemble_worker(seed).stopping.tau_by_N
+        assert len(builds) == 1
+
+    def test_verify_consistency_uses_config_noise(self, tmp_path):
+        payload = dict(BASE, noise={"variant": "stable", "alpha": 1.5,
+                                    "cutoff": 0.02},
+                       K_schedule=[0.5, 2.0])
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "ver"
+        assert main(["--config", str(cfg), "--seed", "2", "--out", str(out),
+                     "--replicas", "3", "--suite", "consistency",
+                     "verify"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        [k_verdict] = [v for v in report["verdicts"]
+                       if v["name"].startswith("(K, K+1)")]
+        assert k_verdict["passed"] is True
+        assert k_verdict["inputs"] == {"K": 0.5, "alpha": 1.5,
+                                       "cutoff": 0.02}
+
+    def test_verify_consistency_stable_needs_k_schedule(self, tmp_path,
+                                                         capsys):
+        payload = dict(BASE, noise={"variant": "stable", "alpha": 1.5,
+                                    "cutoff": 0.02})
+        cfg = write_config(tmp_path, payload)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--replicas", "2", "--suite", "consistency", "verify"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "infinite-variance noise requires a K_schedule" in err
 
     def test_unknown_suite_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE)

@@ -188,8 +188,9 @@ class TestStepAssignment:
         t = 29 * p.dt
         assert p.step_of(np.array([t]))[0] == 29
         p = _path_with_jumps([t], 100)
-        assert p.jumps_in_step(29) == slice(0, 1)
-        assert p.jumps_in_step(28).stop == p.jumps_in_step(28).start
+        bounds = p.jump_bounds()
+        assert (bounds[29], bounds[30]) == (0, 1)
+        assert bounds[28] == bounds[29]
 
     @given(n_steps=st.integers(1, 200),
            picks=st.lists(st.tuples(st.integers(0, 10**6),
@@ -214,11 +215,11 @@ class TestStepAssignment:
         # the rule: n dt <= t < (n+1) dt
         for t, n in zip(p.jump_times, steps):
             assert n * p.dt <= t < (n + 1) * p.dt
-        # the solver's slices partition the jumps by that same rule
+        # the solver's jump bounds partition the jumps by that same rule
+        bounds = p.jump_bounds()
         for n in range(n_steps):
-            sl = p.jumps_in_step(n)
             np.testing.assert_array_equal(np.nonzero(steps == n)[0],
-                                          np.arange(sl.start, sl.stop))
+                                          np.arange(bounds[n], bounds[n + 1]))
         # the step-field integral uses it too: H = step index sums the steps
         H = np.repeat(np.arange(n_steps, dtype=float)[:, None], 4, axis=1)
         assert integrate_step_field(H, p) == float(np.sum(steps))

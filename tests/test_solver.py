@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ import fswe.solver
 from fswe.basis import build_basis, embedding_constant
 from fswe.noise import (LevyMeasureSpec, sample_path, truncate, zero_after)
 from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
-                         SolverError, detect_stop, make_setup, paste_over_K,
-                         paste_over_N, solve_truncated, solve_untruncated,
-                         truncate_coefficients)
+                         SolverError, clamp_radius, detect_stop, make_setup,
+                         paste_over_K, paste_over_N, row_groups, solve_rows,
+                         solve_truncated, solve_untruncated, step)
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
 ASYMMETRIC = LevyMeasureSpec(variant="atoms", atoms=((1.5, 1.0), (-0.5, 0.5)))
@@ -77,22 +79,57 @@ class TestCoefficients:
 
     def test_clamp_examples(self):
         # b(x) = x^2 clamped at radius 2: b_N(3) = 4
-        from fswe.solver import CoefficientPair
         sq = CoefficientPair(lambda x: np.asarray(x)**2, lambda x: x,
                              1.0, 1.0, "square")
-        clamped = truncate_coefficients(sq, 1, 2.0)
-        assert clamped.b(np.array([3.0]))[0] == pytest.approx(4.0)
+        _, seen = _kernel_arguments(sq, [3.0], N=1, C_inf=2.0)
+        assert sq.b(seen["b"])[0].max() == pytest.approx(4.0)
+        assert sq.sigma(seen["sigma"])[0, 0] == pytest.approx(2.0)
         # cubic clamped at 1.5: (1.5)^3 = 3.375
         cube = CoefficientPair(lambda x: np.asarray(x)**3, lambda x: x,
                                1.0, 1.0, "cube")
-        assert truncate_coefficients(cube, 1, 1.5).b(
-            np.array([9.0]))[0] == pytest.approx(3.375)
+        _, seen = _kernel_arguments(cube, [9.0], N=1, C_inf=1.5)
+        assert cube.b(seen["b"])[0].max() == pytest.approx(3.375)
+        assert cube.sigma(seen["sigma"])[0, 0] == pytest.approx(1.5)
 
     def test_identity_inside_radius(self):
         pair = COEFFICIENT_PRESETS["clamped_cubic"]
-        t = truncate_coefficients(pair, 2, 1.0)
-        x = np.linspace(-2.0, 2.0, 41)
-        np.testing.assert_array_equal(t.b(x), pair.b(x))
+        field, seen = _kernel_arguments(pair, np.linspace(-2.0, 2.0, 41),
+                                        N=2, C_inf=1.0)
+        assert np.abs(field).max() == 2.0
+        np.testing.assert_array_equal(seen["b"], field)
+        np.testing.assert_array_equal(pair.b(seen["b"]), pair.b(field))
+        at_jump = field[:, [len(field[0]) // 2]]
+        np.testing.assert_array_equal(seen["sigma"], at_jump)
+
+
+def _kernel_arguments(pair, peaks, N, C_inf):
+    """One kernel step on rows of a one-mode d=1 field, row i peaking at
+    peaks[i] at x = 1/2, where the path's one jump sits, each row clamped
+    at level N with embedding constant C_inf. Returns the rows' grid values
+    and the arguments the kernel passed to b (on the grid) and to sigma (at
+    the jump)."""
+    basis = build_basis(1, 1)
+    seen = {}
+
+    def recorded(name, f):
+        def g(x):
+            seen[name] = np.array(x)
+            return f(x)
+        return g
+
+    setup = make_setup(basis, 2.0, 1.0, 1.0, 1,
+                       CoefficientPair(recorded("b", pair.b),
+                                       recorded("sigma", pair.sigma),
+                                       1.0, 1.0), C_inf=C_inf)
+    state = ModeState.zero((len(peaks), 1))
+    # sqrt(2) sin(pi x) is sqrt(2) at x = 1/2
+    state.u = np.asarray(peaks, dtype=float)[:, None] / math.sqrt(2.0)
+    path = dataclasses.replace(
+        path_for(basis, 0, n_steps=1), jump_times=np.zeros(1),
+        jump_positions=np.full((1, 1), 0.5), jump_sizes=np.ones(1))
+    radius = np.full(len(peaks), clamp_radius(N, C_inf))
+    step(state, row_groups([path] * len(peaks), setup), 0, setup, radius)
+    return basis.synthesize(state.u), seen
 
 
 class TestModeState:
@@ -151,7 +188,6 @@ class TestDynamics:
             path = path_for(basis, seed, n_steps=50)
             if len(path.jump_times):
                 break
-        import dataclasses
         one = dataclasses.replace(
             path, jump_times=path.jump_times[:1],
             jump_positions=path.jump_positions[:1],
@@ -358,6 +394,85 @@ class TestOnePassPasting:
         traj = paste_over_N(path, setup)
         assert traj.active_N.max() >= 3
         assert calls == list(range(setup.n_steps))
+
+
+class TestBatchedRows:
+    """The row-batch contract of the step kernel: a row's bytes do not
+    depend on the batch it is solved in, nor on its place there."""
+
+    @given(d=st.sampled_from([1, 2]),
+           preset=st.sampled_from(sorted(COEFFICIENT_PRESETS) + ["wave"]),
+           noise=st.sampled_from(["rademacher", "asymmetric", 0.8, 1.5]),
+           levels=st.lists(st.sampled_from([1, 2, 3, 8]), min_size=4,
+                           max_size=4),
+           order=st.permutations(range(64)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    # d=1 with drift, stable jumps and a surrogate: every row differs from
+    # its lone solve if the d=1 transforms run as one 2-D product
+    @example(d=1, preset="wave", noise=1.5, levels=[1, 8, 2, 1],
+             order=list(range(64)), seed=3)
+    def test_rows_match_lone_solves(self, d, preset, noise, levels, order,
+                                    seed):
+        basis = build_basis(2, 9, grid_size=21) if d == 2 \
+            else build_basis(1, 16)
+        gamma, r = (3.0, 1.5) if d == 2 else (2.0, 1.0)
+        pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
+        setup = make_setup(basis, gamma, r, 1.0, 12, pair)
+        spec = {"rademacher": RADEMACHER, "asymmetric": ASYMMETRIC}.get(
+            noise) or LevyMeasureSpec(variant="stable", alpha=noise,
+                                      cutoff=0.01)
+        paths = [sample_path(spec, 1.0, 12, seed + p,
+                             cells_per_dim=basis.grid_size - 1, dimension=d)
+                 for p in range(16)]
+        # 16 paths x 4 levels = 64 rows, in the drawn order
+        pairs = [(paths[k // 4], levels[k % 4]) for k in order]
+        radius = np.array([clamp_radius(N, setup.C_inf) for _, N in pairs])
+        norms, coeffs = solve_rows([p for p, _ in pairs], setup, radius,
+                                   keep=slice(None))
+        assert norms.shape == (64, 13)
+        assert coeffs.shape == (64, 13, basis.mode_count)
+        for i, (path, N) in enumerate(pairs):
+            lone_norms, lone_coeffs = solve_rows([path], setup,
+                                                 radius[i:i + 1],
+                                                 keep=slice(None))
+            assert coeffs[i].tobytes() == lone_coeffs[0].tobytes(), i
+            assert norms[i].tobytes() == lone_norms[0].tobytes(), i
+            ref = solve_truncated(N, path, setup)
+            assert coeffs[i].tobytes() == ref.coeffs.tobytes(), i
+            assert norms[i].tobytes() == ref.hr_norms.tobytes(), i
+        # unclamped rows: the same contract for solve_untruncated
+        rows = order[:8]
+        norms, coeffs = solve_rows([paths[k // 4] for k in rows], setup,
+                                   None, keep=slice(None))
+        for i, k in enumerate(rows):
+            ref = solve_untruncated(paths[k // 4], setup)
+            assert coeffs[i].tobytes() == ref.coeffs.tobytes(), i
+            assert norms[i].tobytes() == ref.hr_norms.tobytes(), i
+
+    def test_rows_share_one_measure(self, basis):
+        setup = setup_for(basis, "wave")
+        paths = [path_for(basis, 0), path_for(basis, 1, spec=ASYMMETRIC)]
+        with pytest.raises(SolverError, match="one Levy measure"):
+            solve_rows(paths, setup, None)
+
+    def test_d2_paste_allocates_less_than_a_surrogate(self):
+        # the kernel reads the surrogate one step at a time, as a view:
+        # no copy or stack of a whole-path surrogate
+        basis = build_basis(2, 64, grid_size=65)
+        setup = make_setup(basis, 3.0, 1.5, 1.0, 50,
+                           COEFFICIENT_PRESETS["constant"])
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        path = sample_path(spec, 1.0, 50, 9, cells_per_dim=64, dimension=2)
+        setup.phases  # tabulated once per setup, not per path
+        tracemalloc.start()
+        try:
+            traj = paste_over_K(path, setup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.stopping.tau_by_K) == 4   # every K level entered
+        assert peak < path.surrogate.nbytes
 
 
 class TestEmbeddingInteraction:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fswe.solver
+import fswe.verify
 from fswe.basis import build_basis
 from fswe.noise import LevyMeasureSpec
 from fswe.solver import CoefficientPair, make_setup
@@ -106,6 +109,71 @@ class TestBoundSuites:
         rep = check_tail_bound(setup, RADEMACHER, N_values=(1,), R=300,
                                base_seed=4, corrupt=True)
         assert not rep.passed
+
+    def test_tail_bound_steps_once_per_grid_step(self, setup, monkeypatch):
+        # 20 replicas x 5 levels fit one block: one step call per grid step
+        calls = []
+        step = fswe.solver.step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(fswe.solver, "step", counted)
+        rep = check_tail_bound(setup, RADEMACHER, N_values=(1, 2, 4, 8, 16),
+                               R=20, base_seed=4)
+        assert len(rep.verdicts) == 7
+        assert calls == list(range(setup.n_steps))
+
+    def test_moment_bound_draws_each_path_once(self, setup, monkeypatch):
+        seeds = []
+        sample_path = fswe.verify.sample_path
+
+        def counted(spec, T, n_steps, seed, **kw):
+            seeds.append(seed)
+            return sample_path(spec, T, n_steps, seed, **kw)
+
+        monkeypatch.setattr(fswe.verify, "sample_path", counted)
+        check_moment_bound(setup, RADEMACHER, N_values=(1, 2, 4), R=20,
+                           base_seed=3)
+        assert seeds == [replica_seed(3, i) for i in range(20)]
+
+    @pytest.mark.parametrize("suite, kept", [(check_tail_bound, 0),
+                                             (check_moment_bound, 1)],
+                             ids=["check_tail_bound", "check_moment_bound"])
+    def test_reports_do_not_depend_on_block_size(self, setup, monkeypatch,
+                                                 suite, kept):
+        # one block of 23 replicas against blocks of 3 and a last one of 2
+        whole = suite(setup, RADEMACHER, N_values=(1, 2), R=23, base_seed=9)
+        assert len(fswe.verify._replica_blocks(setup, 23, 2, kept)) == 1
+        history = (setup.n_steps + 1) * setup.basis.mode_count
+        monkeypatch.setattr(fswe.verify, "_BLOCK_VALUES",
+                            3 * (2 * setup.basis.grid_size + kept * history))
+        blocks = fswe.verify._replica_blocks(setup, 23, 2, kept)
+        assert [len(b) for b in blocks] == [3] * 7 + [2]
+        split = suite(setup, RADEMACHER, N_values=(1, 2), R=23, base_seed=9)
+        assert split.to_dict() == whole.to_dict()
+
+    def test_moment_block_stays_within_its_cap(self, monkeypatch):
+        # blocks of 8 replicas x 2 levels, each keeping its first level's
+        # history; a step holds a few rows x grid points temporaries at
+        # once and the pointwise sup synthesizes one replica's history, so
+        # the peak stays within 4 caps whatever the replica count. Blocks
+        # sized without the histories would hold 58 replicas here.
+        setup = make_setup(build_basis(1, 64), 2.0, 1.0, 1.0, 50, WAVE)
+        per_replica = (2 * setup.basis.grid_size
+                       + (setup.n_steps + 1) * setup.basis.mode_count)
+        monkeypatch.setattr(fswe.verify, "_BLOCK_VALUES", 8 * per_replica)
+        assert len(fswe.verify._replica_blocks(setup, 60, 2, 1)[0]) == 8
+        setup.phases  # tabulated once per setup
+        tracemalloc.start()
+        try:
+            check_moment_bound(setup, RADEMACHER, N_values=(1, 2), R=60,
+                               base_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * fswe.verify._BLOCK_VALUES
 
     def test_verdicts_cite_inputs(self, setup):
         rep = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=20,
