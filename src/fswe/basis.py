@@ -172,8 +172,14 @@ class EigenBasis:
 
 
 def sine_table(kmax: int, x: np.ndarray) -> np.ndarray:
-    """Values sqrt(2) sin(k pi x) for k = 1..kmax, shape (kmax, len(x))."""
-    return math.sqrt(2.0) * np.sin(np.pi * np.outer(np.arange(1, kmax + 1), x))
+    """Values sqrt(2) sin(k pi x) for k = 1..kmax, shape (kmax, len(x)).
+
+    Built in place, so a table costs one table of temporaries."""
+    table = np.outer(np.arange(1, kmax + 1), x)
+    table *= np.pi
+    np.sin(table, out=table)
+    table *= math.sqrt(2.0)
+    return table
 
 
 def build_basis(d: int, M: int, grid_size: int | None = None) -> EigenBasis:

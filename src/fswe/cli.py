@@ -25,11 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .basis import build_basis
-from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, export_path,
-                    sample_path, spec_from_dict, spec_to_dict)
+from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, NoisePath,
+                    export_path, sample_path, spec_from_dict, spec_to_dict)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, Trajectory,
                      check_K_schedule, check_exponents, make_setup,
-                     paste_over_K, paste_over_N)
+                     paste_over_K, paste_over_N, paste_rows, row_blocks)
 from . import verify as verify_mod
 
 
@@ -168,11 +168,15 @@ def _json_inf(obj):
 _NEEDS_K_SCHEDULE = "infinite-variance noise requires a K_schedule for pasting"
 
 
-def _solve_one(config: RunConfig, setup: SolveSetup, seed: int) -> Trajectory:
-    spec = config.levy_spec()
-    path = sample_path(spec, config.T, config.n_steps, seed,
+def _sample(config: RunConfig, setup: SolveSetup, seed: int) -> NoisePath:
+    return sample_path(config.levy_spec(), config.T, config.n_steps, seed,
                        cells_per_dim=setup.basis.grid_size - 1,
                        dimension=config.dimension)
+
+
+def _solve_one(config: RunConfig, setup: SolveSetup, seed: int) -> Trajectory:
+    spec = config.levy_spec()
+    path = _sample(config, setup, seed)
     if config.K_schedule is not None:
         return paste_over_K(path, setup,
                             K_schedule=tuple(config.K_schedule),
@@ -207,24 +211,40 @@ def cmd_noise(config: RunConfig, seed: int, out: Path) -> int:
     return 0
 
 
+def _paste_seeds(config: RunConfig, setup: SolveSetup,
+                 seeds: list[int]) -> list[Trajectory]:
+    """The trajectories _solve_one gives the seeds, pasted in blocks of
+    rows: one step call per grid step per block."""
+    if (config.K_schedule is None
+            and not config.levy_spec().has_finite_variance):
+        raise ConfigError(_NEEDS_K_SCHEDULE)
+    trajs = []
+    # one row per replica, keeping its coefficient history
+    for block in row_blocks(setup, len(seeds), kept=1):
+        paths = [_sample(config, setup, seeds[i]) for i in block]
+        trajs += paste_rows(paths, setup, config.K_schedule, config.N_max)
+    return trajs
+
+
 def cmd_ensemble(config: RunConfig, seed: int, out: Path,
                  replicas: int, workers: int) -> int:
     t0 = time.perf_counter()
     setup = config.build()
     out.mkdir(parents=True, exist_ok=True)
-    trajs = {}
     seeds = [verify_mod.replica_seed(seed, i) for i in range(replicas)]
     if workers > 1:
         import concurrent.futures as cf
+        # each worker pastes one contiguous share of the seeds
+        share = max(1, -(-replicas // workers))
+        chunks = [seeds[lo:lo + share] for lo in range(0, replicas, share)]
         with cf.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_ensemble_worker,
                 initargs=(config.to_dict(),)) as pool:
-            results = list(pool.map(_ensemble_worker, seeds))
-        for i, traj in enumerate(results):
-            trajs[f"replica_{i}"] = traj
+            results = [t for chunk in pool.map(_ensemble_worker, chunks)
+                       for t in chunk]
     else:
-        for i, s in enumerate(seeds):
-            trajs[f"replica_{i}"] = _solve_one(config, setup, s)
+        results = _paste_seeds(config, setup, seeds)
+    trajs = {f"replica_{i}": traj for i, traj in enumerate(results)}
     for name, traj in trajs.items():
         write_trajectory_csv(out / f"{name}.csv", traj)
     write_summary(out / "summary.json", config, seed, trajs,
@@ -234,7 +254,7 @@ def cmd_ensemble(config: RunConfig, seed: int, out: Path,
 
 
 # (config, setup) of an ensemble worker process, built once per process by
-# _init_ensemble_worker, so the basis and C_inf are not rebuilt per replica
+# _init_ensemble_worker, so the basis and C_inf are not rebuilt per chunk
 _worker_state: tuple[RunConfig, SolveSetup] | None = None
 
 
@@ -244,9 +264,9 @@ def _init_ensemble_worker(cfg_dict: dict) -> None:
     _worker_state = (config, config.build())
 
 
-def _ensemble_worker(seed: int) -> Trajectory:
+def _ensemble_worker(seeds: list[int]) -> list[Trajectory]:
     config, setup = _worker_state
-    return _solve_one(config, setup, seed)
+    return _paste_seeds(config, setup, seeds)
 
 
 _SUITES = ("isometry", "additive", "moment", "tail", "survival", "consistency")

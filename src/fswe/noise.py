@@ -15,7 +15,8 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,13 +126,56 @@ class LevyMeasureSpec:
         return rng.choice(zs, size=n, p=rates / rates.sum())
 
 
+@dataclass(frozen=True, eq=False)
+class GaussianSurrogate:
+    """The cell-wise Gaussian surrogate of one path, drawn on demand.
+
+    Its values are std * standard_normal((n_steps, n_cells)) drawn from the
+    path's generator right after the jump draws; the increments of the
+    steps from live_steps on are zero (see zero_after). Only the generator
+    state is held, so no whole-path array exists unless full() builds it.
+    Equality and hashing are by identity: a solve keys the one row stream
+    it opens per surrogate on the object.
+    """
+
+    state: dict               # bit-generator state after the jump draws
+    std: float                # sqrt(sigma_eps^2 * dt * cell_volume)
+    shape: tuple[int, int]    # (n_steps, n_cells)
+    live_steps: int
+
+    @property
+    def size(self) -> int:
+        """Number of values drawn for the whole path."""
+        return self.shape[0] * self.shape[1]
+
+    def _generator(self) -> np.random.Generator:
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = self.state
+        return rng
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """The increments of steps 0 .. live_steps - 1, one (n_cells,) row
+        per step, each drawn when it is asked for."""
+        rng = self._generator()
+        for _ in range(self.live_steps):
+            yield self.std * rng.standard_normal(self.shape[1])
+
+    def full(self) -> np.ndarray:
+        """The whole (n_steps, n_cells) array, zero from live_steps on."""
+        out = np.zeros(self.shape)
+        out[:self.live_steps] = self.std * self._generator().standard_normal(
+            (self.live_steps, self.shape[1]))
+        return out
+
+
 @dataclass(frozen=True)
 class NoisePath:
     """One realized space-time noise on [0,T] x unit box.
 
-    Jump events are sorted by time. The Gaussian surrogate is an array of
-    shape (n_steps, n_cells) of increments with per-entry variance
-    sigma_eps^2 * dt * cell_volume, or None when sigma_eps = 0.
+    Jump events are sorted by time. The Gaussian surrogate of increments
+    with per-entry variance sigma_eps^2 * dt * cell_volume on the
+    (n_steps, n_cells) step-cell partition is a GaussianSurrogate, or None
+    when sigma_eps = 0.
     """
 
     spec: LevyMeasureSpec
@@ -142,7 +186,7 @@ class NoisePath:
     jump_times: np.ndarray      # (J,)
     jump_positions: np.ndarray  # (J, d)
     jump_sizes: np.ndarray      # (J,)
-    surrogate: np.ndarray | None
+    surrogate: GaussianSurrogate | None
     seed: int
 
     @property
@@ -204,10 +248,12 @@ def sample_path(spec: LevyMeasureSpec, T: float, n_steps: int, seed: int,
     if with_surrogate and sig2 > 0.0:
         dt = T / n_steps
         cell_vol = (1.0 / cells_per_dim) ** dimension
-        std = math.sqrt(sig2 * dt * cell_vol)
-        surrogate = std * rng.standard_normal(
-            (n_steps, cells_per_dim**dimension)
-        )
+        # the surrogate is drawn last, so the generator state here is all
+        # it needs to draw its rows later
+        surrogate = GaussianSurrogate(
+            state=rng.bit_generator.state,
+            std=math.sqrt(sig2 * dt * cell_vol),
+            shape=(n_steps, cells_per_dim**dimension), live_steps=n_steps)
 
     return NoisePath(spec=spec, T=T, n_steps=n_steps, dimension=dimension,
                      cells_per_dim=cells_per_dim, jump_times=times,
@@ -250,8 +296,8 @@ def zero_after(path: NoisePath, t_cut: float) -> NoisePath:
     surrogate = path.surrogate
     if surrogate is not None:
         n_first = int(np.searchsorted(path.step_edges, t_cut, side="left"))
-        surrogate = surrogate.copy()
-        surrogate[n_first:] = 0.0
+        surrogate = replace(surrogate,
+                            live_steps=min(surrogate.live_steps, n_first))
     return replace(path, jump_times=path.jump_times[keep],
                    jump_positions=path.jump_positions[keep],
                    jump_sizes=path.jump_sizes[keep], surrogate=surrogate)
@@ -280,7 +326,7 @@ def integrate_step_field(H: np.ndarray, path: NoisePath) -> float:
         cell_vol = (1.0 / path.cells_per_dim) ** path.dimension
         total -= m1 * path.dt * cell_vol * float(np.sum(H))
     if path.surrogate is not None:
-        total += float(np.sum(H * path.surrogate))
+        total += float(np.sum(H * path.surrogate.full()))
     return total
 
 

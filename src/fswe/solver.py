@@ -89,11 +89,21 @@ def clamp_radius(N: int, C_inf: float) -> float:
 def _clamped(f, x: np.ndarray, radius: np.ndarray | None) -> np.ndarray:
     """f at x clamped to [-radius, radius]; radius None clamps nothing. The
     constant presets ignore their argument, so they skip the clip."""
-    if radius is None or f is _zero or f is _one:
+    if radius is None or _ignores_argument(f):
         return f(x)
     # np.clip's values, in half its time for per-row radii
     x = np.maximum(x, -radius)
     return f(np.minimum(x, radius, out=x))
+
+
+def _ignores_argument(f) -> bool:
+    return f is _zero or f is _one
+
+
+def _placeholder(shape: tuple[int, int]) -> np.ndarray:
+    """What step passes to a coefficient that ignores its argument instead
+    of a synthesized field: read-only zeros of the field's shape."""
+    return np.broadcast_to(0.0, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +236,7 @@ class RowGroup:
 
     path: NoisePath
     rows: slice | np.ndarray
+    index: np.ndarray       # the same rows as an index array
     jump_bounds: list[int]  # index of the first jump at or after each step edge
 
 
@@ -244,22 +255,49 @@ def row_groups(paths: Sequence[NoisePath],
         _check_path(path, setup)
         if path.spec != paths[0].spec:
             raise SolverError("the rows of a batch must share one Levy measure")
+        index = np.array(rows)
         contiguous = rows[-1] - rows[0] + 1 == len(rows)
         groups.append(RowGroup(
             path=path,
-            rows=slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows),
-            jump_bounds=path.jump_bounds().tolist()))
+            rows=slice(rows[0], rows[-1] + 1) if contiguous else index,
+            index=index, jump_bounds=path.jump_bounds().tolist()))
     return groups
 
 
+def _open_streams(paths: Sequence[NoisePath]) -> dict:
+    """One row stream per distinct surrogate object of the paths, keyed on
+    the object: truncate shares a path's surrogate, so every K level of a
+    path reads the same stream."""
+    streams = {}
+    for p in paths:
+        if p.surrogate is not None and p.surrogate not in streams:
+            streams[p.surrogate] = p.surrogate.rows()
+    return streams
+
+
+def _draw(streams: dict) -> dict:
+    """Advance every stream one grid step: the live surrogates' rows."""
+    rows = {}
+    for surrogate, stream in streams.items():
+        row = next(stream, None)
+        if row is not None:
+            rows[surrogate] = row
+    return rows
+
+
 def step(state: ModeState, groups: Sequence[RowGroup], n: int,
-         setup: SolveSetup, radius: np.ndarray | None) -> ModeState:
+         setup: SolveSetup, radius: np.ndarray | None,
+         noise: dict | None = None) -> ModeState:
     """Advance every row one step [n dt, (n+1) dt) with left-point evaluation.
 
     The state arrays have shape (rows, M), and each group's path drives the
     group's rows. Row i clamps the argument of b and sigma at +-radius[i];
-    radius None clamps nothing. Every product is a stack of one-row
-    products, so a row gets the same bytes in any batch, alone included.
+    radius None clamps nothing. ``noise`` maps each live surrogate to its
+    step-n row (see _draw); a row whose path's surrogate is absent gets no
+    surrogate term. Every product is a stack of one-row products, so a row
+    gets the same bytes in any batch, alone included. A coefficient that
+    ignores its argument (the constant presets) gets a placeholder, not a
+    synthesized field.
     """
     bas = setup.basis
     pair = setup.pair
@@ -273,24 +311,43 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
 
     m1 = groups[0].path.spec.m1
     need_compensator = m1 != 0.0 and pair.D_sigma != 0.0
+    sigma_free = _ignores_argument(pair.sigma)
     if pair.D_b != 0.0 or need_compensator:
-        u_grid = bas.synthesize(u[:, None])[:, 0]
+        if ((pair.D_b == 0.0 or _ignores_argument(pair.b))
+                and (not need_compensator or sigma_free)):
+            u_grid = _placeholder((len(u), bas.grid_size**bas.dimension))
+        else:
+            u_grid = bas.synthesize(u[:, None])[:, 0]
     if pair.D_b != 0.0:
         beta = bas.analyze(bas.quad_weights * _clamped(pair.b, u_grid, r))
         A = A + dt * cos_t[n] * beta
         B = B + dt * sin_t[n] * beta
 
-    for g in groups:
-        lo, hi = g.jump_bounds[n], g.jump_bounds[n + 1]
-        if hi > lo:
+    # the step's jumps of every group, with one mode and phase table
+    spans = [(g, g.jump_bounds[n], g.jump_bounds[n + 1]) for g in groups
+             if g.jump_bounds[n + 1] > g.jump_bounds[n]]
+    if spans:
+        modes = bas.evaluate_modes(_stacked(
+            [g.path.jump_positions[lo:hi] for g, lo, hi in spans]))
+        phase = np.outer(omega, _stacked(
+            [g.path.jump_times[lo:hi] for g, lo, hi in spans]))
+        cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
+        end = 0
+        for g, lo, hi in spans:
+            # each group's own contiguous columns: a strided operand can
+            # change a product's bytes
+            cols = slice(end, end + hi - lo)
+            end = cols.stop
             rows = g.rows
-            modes_j = bas.evaluate_modes(g.path.jump_positions[lo:hi])
-            u_at_j = (u[rows, None] @ modes_j)[:, 0]    # field frozen at t0
+            if sigma_free:
+                u_at_j = _placeholder((len(g.index), hi - lo))
+            else:   # field frozen at t0
+                u_at_j = (u[rows, None]
+                          @ np.ascontiguousarray(modes[:, cols]))[:, 0]
             w = (_clamped(pair.sigma, u_at_j, None if r is None else r[rows])
                  * g.path.jump_sizes[lo:hi])[:, :, None]
-            phase = np.outer(omega, g.path.jump_times[lo:hi])
-            Mc[rows] += ((np.cos(phase) * modes_j) @ w)[:, :, 0]
-            Ms[rows] += ((np.sin(phase) * modes_j) @ w)[:, :, 0]
+            Mc[rows] += (np.ascontiguousarray(cos_modes[:, cols]) @ w)[:, :, 0]
+            Ms[rows] += (np.ascontiguousarray(sin_modes[:, cols]) @ w)[:, :, 0]
 
     if need_compensator:
         # compensator of asymmetric finite-activity jumps, left-point rule
@@ -298,22 +355,53 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         Mc -= m1 * dt * cos_t[n] * comp
         Ms -= m1 * dt * sin_t[n] * comp
 
-    for g in groups:
-        if g.path.surrogate is None:
-            continue
-        noise = g.path.surrogate[n]   # a view: whole-path surrogates are big
-        if np.any(noise):
-            rows = g.rows
+    live = [g for g in groups if noise and g.path.surrogate in noise]
+    if live:
+        # every surrogate-driven row in one stacked projection
+        if len(live) == 1:
+            rows, dW = live[0].rows, noise[live[0].path.surrogate]
+        else:
+            rows = np.concatenate([g.index for g in live])
+            dW = np.repeat(np.stack([noise[g.path.surrogate] for g in live]),
+                           [len(g.index) for g in live], axis=0)
+        if sigma_free:
+            u_cells = _placeholder((sum(len(g.index) for g in live),
+                                    bas.cell_count))
+        else:
             u_cells = bas.synthesize(u[rows, None], "cells")[:, 0]
-            sig = _clamped(pair.sigma, u_cells, None if r is None else r[rows])
-            proj = bas.analyze(sig * noise, "cells")
-            Mc[rows] += cos_t[n] * proj
-            Ms[rows] += sin_t[n] * proj
+        sig = _clamped(pair.sigma, u_cells, None if r is None else r[rows])
+        proj = bas.analyze(sig * dW, "cells")
+        Mc[rows] += cos_t[n] * proj
+        Ms[rows] += sin_t[n] * proj
 
     new = ModeState(t=(n + 1) * dt, drift_cos=A, drift_sin=B, mart_cos=Mc,
                     mart_sin=Ms, u=u)
     new.u = new.rebuild_u(omega, cos_t[n + 1], sin_t[n + 1])
     return new
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated along their first axis; one is returned
+    as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+# Float64 values one batched solve may hold: its rows times the grid
+# points, the size of a step's largest temporaries, plus the coefficient
+# histories it keeps. About 2 MB per array, whatever the replica count,
+# unless one replica's rows alone exceed it (d=2).
+_BLOCK_VALUES = 1 << 18
+
+
+def row_blocks(setup: SolveSetup, count: int, rows: int = 1,
+               kept: int = 0) -> list[range]:
+    """Consecutive ranges of ``count`` items (replicas, say), each small
+    enough that its rows (``rows`` per item) times the grid points, plus
+    ``kept`` coefficient histories per item, stay within _BLOCK_VALUES."""
+    points = setup.basis.grid_size ** setup.basis.dimension
+    history = (setup.n_steps + 1) * setup.basis.mode_count
+    size = max(1, _BLOCK_VALUES // (rows * points + kept * history))
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def solve_rows(paths: Sequence[NoisePath], setup: SolveSetup,
@@ -328,13 +416,14 @@ def solve_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     (kept, n_steps + 1, M); no other row's history is stored.
     """
     groups = row_groups(paths, setup)
+    streams = _open_streams(paths)
     rows = len(paths)
     M = setup.basis.mode_count
     state = ModeState.zero((rows, M))
     norms = np.zeros((rows, setup.n_steps + 1))
     coeffs = np.zeros((len(range(rows)[keep]), setup.n_steps + 1, M))
     for n in range(setup.n_steps):
-        state = step(state, groups, n, setup, radius)
+        state = step(state, groups, n, setup, radius, _draw(streams))
         norms[:, n + 1] = hr_norm_at(state, setup)
         coeffs[:, n + 1] = state.u[keep]
     return norms, coeffs
@@ -406,57 +495,112 @@ def solve_truncated(N: int, path: NoisePath, setup: SolveSetup) -> Trajectory:
     return traj
 
 
-def _paste(path: NoisePath, setup: SolveSetup, K_schedule: tuple[float, ...],
-           N_max: int) -> Trajectory:
-    """Paste over N and K in one forward pass.
+def _K_entries(path: NoisePath, times: np.ndarray,
+               K_schedule: tuple[float, ...],
+               record: StoppingRecord) -> tuple[list, bool]:
+    """The K levels a path enters, as (grid index, K, truncated path) in
+    order, and whether the last one's tau^K is finite.
+
+    The first level is entered at grid index 0, and level k+1 at the first
+    grid time at or after tau^K of level k; tau^K of each level entered is
+    recorded.
+    """
+    entries, at = [], 0
+    for K in K_schedule:
+        entries.append((at, K, truncate(path, K)))
+        tau = record.tau_by_K[K] = first_large_jump(path, K)
+        if math.isinf(tau) or K == K_schedule[-1]:
+            break
+        at = max(at, int(np.searchsorted(times, tau, side="left")))
+        if at == len(times):
+            break
+    return entries, math.isfinite(tau)
+
+
+def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
+               K_schedule: Sequence[float] | None = None,
+               N_max: int = 8) -> list[Trajectory]:
+    """Paste a batch of paths, one row each, in one forward pass: over N
+    alone when K_schedule is None (paste_over_N), otherwise over K and N
+    (paste_over_K). Row i's trajectory has the bytes the one-path call
+    gives paths[i].
 
     By the coupling identity level N equals level N+1 bitwise up to and
     including the grid time tau_N, and level K equals every higher K level
-    at the grid times before tau^K. So N rises right after the step whose
-    norm first exceeds N, K rises right before the first step into a grid
-    time at or after tau^K, and no level is solved twice. Past N_max, or
-    past a finite tau^K of the last K, the run stays at that level and is
+    at the grid times before tau^K. So a row's N rises right after the step
+    whose norm first exceeds N, its K rises right before the first step
+    into a grid time at or after tau^K, and no level is solved twice. Each
+    row keeps its own levels, clamp radius and record; the row groups are
+    rebuilt only at steps where some row changes K. Past N_max, or past a
+    finite tau^K of the last K, a row stays at that level and is
     cap_reached.
     """
-    _check_path(path, setup)
+    if K_schedule is not None:
+        for path in paths:
+            if not path.spec.symmetric:
+                raise SolverError(
+                    "the heavy-tailed driver requires a symmetric Levy "
+                    "measure")
+            check_K_schedule(K_schedule, path.spec.cutoff)
+    for path in paths:
+        _check_path(path, setup)
     if N_max < 1:
         raise SolverError(f"need N_max >= 1, got {N_max}")
-    n_steps = setup.n_steps
+    n_steps, rows = setup.n_steps, len(paths)
     times = np.linspace(0.0, setup.T, n_steps + 1)
-    coeffs = np.zeros((n_steps + 1, setup.basis.mode_count))
-    norms = np.zeros(n_steps + 1)
-    active_N = np.zeros(n_steps + 1, dtype=int)
-    active_K = np.zeros(n_steps + 1)
-    record = StoppingRecord()
-    state = ModeState.zero((1, setup.basis.mode_count))
-    N = 1
-    radius = np.array([clamp_radius(N, setup.C_inf)])
-    k, tau_K = -1, -math.inf  # the first K level is entered at grid index 0
+    coeffs = np.zeros((rows, n_steps + 1, setup.basis.mode_count))
+    norms = np.zeros((rows, n_steps + 1))
+    active_N = np.zeros((rows, n_steps + 1), dtype=int)
+    active_K = np.zeros((rows, n_steps + 1))
+    records = [StoppingRecord() for _ in paths]
+    entering: dict[int, list] = {}   # grid index -> (row, K, driving path)
+    capped_K = []
+    for i, (path, record) in enumerate(zip(paths, records)):
+        entries, capped = _K_entries(
+            path, times, (math.inf,) if K_schedule is None
+            else tuple(K_schedule), record)
+        for at, K, driver in entries:
+            entering.setdefault(at, []).append((i, K, driver))
+        capped_K.append(capped)
+    drivers = list(paths)
+    level_K = np.zeros(rows)
+    level_N = np.ones(rows, dtype=int)
+    radius = np.full(rows, clamp_radius(1, setup.C_inf))
+    streams = _open_streams(paths)
+    state = ModeState.zero((rows, setup.basis.mode_count))
     for n in range(n_steps + 1):
-        while times[n] >= tau_K and k + 1 < len(K_schedule):
-            k += 1
-            K = K_schedule[k]
-            groups = row_groups([truncate(path, K)], setup)
-            tau_K = record.tau_by_K[K] = first_large_jump(path, K)
+        if n in entering:
+            for i, K, driver in entering[n]:
+                drivers[i], level_K[i] = driver, K
+            groups = row_groups(drivers, setup)
         if n:
-            state = step(state, groups, n - 1, setup, radius)
-            coeffs[n] = state.u[0]
-            norms[n] = hr_norm_at(state, setup)[0]
-        while not record.cap_reached and norms[n] > N:
-            tau = float(times[n])
-            record.tau_by_N[N] = tau
-            record.tau_brackets[N] = (max(tau - setup.dt, 0.0), tau)
-            if N == N_max:
-                record.cap_reached = True
-            else:
-                N += 1
-                radius = np.array([clamp_radius(N, setup.C_inf)])
-        active_N[n] = N
-        active_K[n] = K
-    record.tau_by_N.setdefault(N, math.inf)
-    record.cap_reached = record.cap_reached or math.isfinite(tau_K)
-    return Trajectory(times=times, hr_norms=norms, coeffs=coeffs,
-                      active_N=active_N, active_K=active_K, stopping=record)
+            state = step(state, groups, n - 1, setup, radius, _draw(streams))
+            coeffs[:, n] = state.u
+            norms[:, n] = hr_norm_at(state, setup)
+        over = norms[:, n] > level_N
+        for i in np.flatnonzero(over) if over.any() else ():
+            record = records[i]
+            while not record.cap_reached and norms[i, n] > level_N[i]:
+                N, tau = int(level_N[i]), float(times[n])
+                record.tau_by_N[N] = tau
+                record.tau_brackets[N] = (max(tau - setup.dt, 0.0), tau)
+                if N == N_max:
+                    record.cap_reached = True
+                else:
+                    level_N[i] = N + 1
+                    radius[i] = clamp_radius(N + 1, setup.C_inf)
+        active_N[:, n] = level_N
+        active_K[:, n] = level_K
+    trajectories = []
+    for i, record in enumerate(records):
+        record.tau_by_N.setdefault(int(level_N[i]), math.inf)
+        record.cap_reached = record.cap_reached or capped_K[i]
+        if K_schedule is None:
+            record.tau_by_K.clear()  # pasting over N alone keeps no K record
+        trajectories.append(Trajectory(
+            times=times, hr_norms=norms[i], coeffs=coeffs[i],
+            active_N=active_N[i], active_K=active_K[i], stopping=record))
+    return trajectories
 
 
 def paste_over_N(path: NoisePath, setup: SolveSetup,
@@ -466,11 +610,9 @@ def paste_over_N(path: NoisePath, setup: SolveSetup,
     Levels run 1, 2, ... on the same path and the same forward pass. If
     tau_{N_max} <= T the trajectory is flagged cap_reached (theory
     guarantees tau_N -> inf, so raising N_max always clears the flag
-    eventually).
+    eventually). The one-row case of paste_rows.
     """
-    traj = _paste(path, setup, (math.inf,), N_max)
-    traj.stopping.tau_by_K.clear()  # pasting over N alone keeps no K record
-    return traj
+    return paste_rows([path], setup, None, N_max)[0]
 
 
 def paste_over_K(path: NoisePath, setup: SolveSetup,
@@ -478,14 +620,9 @@ def paste_over_K(path: NoisePath, setup: SolveSetup,
                  N_max: int = 8) -> Trajectory:
     """Heavy-tailed solution by pasting noise-truncated solves on
     [tau^{K-1}, tau^K), tau^K the first jump exceeding K, each pasted over
-    N as in paste_over_N.
+    N as in paste_over_N. The one-row case of paste_rows.
 
     cap_reached is set when the returned trajectory's norm exceeds N_max or
     the last level's tau^K is finite.
     """
-    if not path.spec.symmetric:
-        raise SolverError(
-            "the heavy-tailed driver requires a symmetric Levy measure"
-        )
-    check_K_schedule(K_schedule, path.spec.cutoff)
-    return _paste(path, setup, tuple(K_schedule), N_max)
+    return paste_rows([path], setup, K_schedule, N_max)[0]

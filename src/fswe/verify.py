@@ -19,14 +19,8 @@ from .basis import EigenBasis, lambda_power_sum, lambda_power_tail
 from .noise import (LevyMeasureSpec, NoisePath, first_large_jump,
                     integrate_step_field, sample_path, truncate, zero_after)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, clamp_radius,
-                     make_setup, paste_over_N, solve_rows, solve_truncated,
-                     solve_untruncated, stop_times)
-
-# Float64 values one batched solve of a bound suite may hold: its rows
-# times the grid points, the size of a step's largest temporaries, plus
-# the coefficient histories it keeps. About 2 MB per array, whatever the
-# replica count, unless one replica's rows alone exceed it (d=2).
-_BLOCK_VALUES = 1 << 18
+                     make_setup, paste_over_N, row_blocks, solve_rows,
+                     solve_truncated, stop_times)
 
 
 def replica_seed(base: int, index: int) -> int:
@@ -162,7 +156,12 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
                           t_checks: tuple[float, ...] = (0.25, 0.5, 1.0),
                           corrupt: bool = False) -> EnsembleReport:
     """Per-mode variances of the additive solution against the closed form,
-    plus statistically-zero cross-mode covariances."""
+    plus statistically-zero cross-mode covariances.
+
+    Blocks of replicas are solved as the rows of one batch, unclamped; each
+    row has the bytes solve_untruncated gives it, and the sums run in
+    replica order.
+    """
     setup = make_setup(basis, gamma, r, T, n_steps,
                        COEFFICIENT_PRESETS["additive"])
     m2 = spec.m2 * (2.0 if corrupt else 1.0)
@@ -171,17 +170,19 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
     M = basis.mode_count
     acc = np.zeros((len(idx), M, 2))       # sums of u^2 and u^4 per (time, mode)
     cross = np.zeros(2)                    # u_1 u_2 at final time
-    for i in range(R):
-        path = sample_path(spec, T, n_steps, replica_seed(base_seed, i),
-                           cells_per_dim=basis.grid_size - 1,
-                           dimension=basis.dimension)
-        traj = solve_untruncated(path, setup)
-        u = traj.coeffs[idx]               # (n_checks, M)
-        acc[:, :, 0] += u**2
-        acc[:, :, 1] += u**4
-        if M >= 2:
-            prod = traj.coeffs[-1, 0] * traj.coeffs[-1, 1]
-            cross += (prod, prod * prod)
+    for block in row_blocks(setup, R, kept=1):
+        paths = [sample_path(spec, T, n_steps, replica_seed(base_seed, i),
+                             cells_per_dim=basis.grid_size - 1,
+                             dimension=basis.dimension)
+                 for i in block]
+        _, histories = solve_rows(paths, setup, None, keep=slice(None))
+        for coeffs in histories:           # in replica order
+            u = coeffs[idx]                # (n_checks, M)
+            acc[:, :, 0] += u**2
+            acc[:, :, 1] += u**4
+            if M >= 2:
+                prod = coeffs[-1, 0] * coeffs[-1, 1]
+                cross += (prod, prod * prod)
     verdicts = []
     for j, t in enumerate(t_checks):
         for k in range(M):
@@ -207,17 +208,6 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
     return EnsembleReport("additive_linear", R, base_seed, verdicts)
 
 
-def _replica_blocks(setup: SolveSetup, R: int, levels: int,
-                    kept: int = 0) -> list[range]:
-    """Consecutive replica ranges, each small enough that its rows (one per
-    replica and level) times the grid points, plus ``kept`` coefficient
-    histories per replica, stay within _BLOCK_VALUES."""
-    points = setup.basis.grid_size ** setup.basis.dimension
-    history = (setup.n_steps + 1) * setup.basis.mode_count
-    size = max(1, _BLOCK_VALUES // (levels * points + kept * history))
-    return [range(lo, min(lo + size, R)) for lo in range(0, R, size)]
-
-
 def _solve_levels(setup: SolveSetup, spec: LevyMeasureSpec, base_seed: int,
                   block: range, N_values: tuple[int, ...],
                   keep: slice = slice(0)) -> tuple[np.ndarray, np.ndarray]:
@@ -234,6 +224,26 @@ def _solve_levels(setup: SolveSetup, spec: LevyMeasureSpec, base_seed: int,
                      len(paths))
     return solve_rows([p for p in paths for _ in N_values], setup, radius,
                       keep)
+
+
+def _time_mean_square(setup: SolveSetup, coeffs: np.ndarray) -> np.ndarray:
+    """Time mean of the squared field of one coefficient history, shape
+    (n_points,).
+
+    In d=1 this is one plain 2-D product over the whole history, whose row
+    bytes depend on the row count. In d=2 each time is its own product, so
+    the history is synthesized in chunks of times within the block cap, and
+    the squares are summed in time order into one running sum, the order of
+    np.mean's reduction.
+    """
+    basis = setup.basis
+    if basis.dimension == 1:
+        return np.mean(basis.synthesize(coeffs) ** 2, axis=0)
+    total = np.zeros(basis.grid_size**2)
+    for chunk in row_blocks(setup, len(coeffs)):
+        for square in basis.synthesize(coeffs[chunk.start:chunk.stop]) ** 2:
+            total += square
+    return total / len(coeffs)
 
 
 def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
@@ -262,16 +272,14 @@ def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     L = len(N_values)
     sums = np.zeros((L, 2))   # per level: running sum, sum of squares
     sq_field_mean = np.zeros(setup.basis.grid_size**setup.basis.dimension)
-    for block in _replica_blocks(setup, R, L, kept=1):
+    for block in row_blocks(setup, R, L, kept=1):
         norms, first_level = _solve_levels(setup, spec, base_seed, block,
                                            N_values, keep=slice(0, None, L))
         peaks = np.max(norms**2, axis=1).reshape(len(block), L)
         for replica_peaks, coeffs in zip(peaks.tolist(), first_level):
             for j, v in enumerate(replica_peaks):
                 sums[j] += (v, v * v)
-            # a plain 2-D product over the history, as for one trajectory
-            sq_field_mean += np.mean(setup.basis.synthesize(coeffs) ** 2,
-                                     axis=0)
+            sq_field_mean += _time_mean_square(setup, coeffs)
     verdicts = []
     for N, (total, total_sq) in zip(N_values, sums):
         mean = total / R
@@ -316,7 +324,7 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     levels = [1e-6 * N if corrupt else N for N in N_values]
     times = np.linspace(0.0, setup.T, setup.n_steps + 1)
     taus = np.zeros((L, R))
-    for block in _replica_blocks(setup, R, L):
+    for block in row_blocks(setup, R, L):
         norms, _ = _solve_levels(setup, spec, base_seed, block, N_values)
         taus[:, block.start:block.stop] = stop_times(
             times, norms, levels * len(block)).reshape(len(block), L).T

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import fswe.cli as cli_mod
+import fswe.solver
 from fswe.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -154,6 +155,27 @@ class TestCommands:
         two.pop("runtime_seconds")
         assert one == two
 
+    def test_ensemble_pastes_replicas_as_one_batch(self, tmp_path,
+                                                   monkeypatch):
+        # 16 stable replicas fit one block: one step call per grid step
+        payload = dict(BASE, noise={"variant": "stable", "alpha": 1.0,
+                                    "cutoff": 0.01},
+                       K_schedule=[1.0, 2.0, 4.0])
+        cfg = write_config(tmp_path, payload)
+        calls = []
+        step = fswe.solver.step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(fswe.solver, "step", counted)
+        out = tmp_path / "ens"
+        assert main(["--config", str(cfg), "--seed", "3", "--out", str(out),
+                     "--replicas", "16", "ensemble"]) == 0
+        assert calls == list(range(BASE["n_steps"]))
+        assert len(list(out.glob("replica_*.csv"))) == 16
+
     def test_ensemble_worker_builds_setup_once(self, monkeypatch):
         builds = []
         build = RunConfig.build
@@ -165,8 +187,10 @@ class TestCommands:
         monkeypatch.setattr(RunConfig, "build", counted)
         monkeypatch.setattr(cli_mod, "_worker_state", None)
         cli_mod._init_ensemble_worker(RunConfig(**BASE).to_dict())
-        for seed in (0, 1, 2):
-            assert cli_mod._ensemble_worker(seed).stopping.tau_by_N
+        for chunk in ([0], [1, 2]):
+            trajs = cli_mod._ensemble_worker(chunk)
+            assert len(trajs) == len(chunk)
+            assert all(t.stopping.tau_by_N for t in trajs)
         assert len(builds) == 1
 
     def test_verify_consistency_uses_config_noise(self, tmp_path):

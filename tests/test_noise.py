@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,55 @@ class TestSampling:
             p_exact = (CAUCHY_LIKE.cutoff / a) ** CAUCHY_LIKE.alpha
             assert abs(p_emp - p_exact) <= 3 * math.sqrt(
                 p_exact * (1 - p_exact) / len(z)) + 1e-12
+
+
+class TestGaussianSurrogate:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_full_is_the_block_draw_after_the_jumps(self, d):
+        T, n_steps, cells, seed = 1.0, 20, 8, 5
+        path = sample_path(CAUCHY_LIKE, T, n_steps, seed, cells_per_dim=cells,
+                           dimension=d)
+        # replay sample_path's draws: count, times, positions, sizes
+        rng = np.random.default_rng(seed)
+        count = rng.poisson(CAUCHY_LIKE.jump_rate * T)
+        times = np.sort(rng.uniform(0.0, T, size=count))
+        positions = rng.uniform(0.0, 1.0, size=(count, d))
+        sizes = CAUCHY_LIKE.sample_jump_sizes(rng, count)
+        for drawn, replayed in ((path.jump_times, times),
+                                (path.jump_positions, positions),
+                                (path.jump_sizes, sizes)):
+            assert drawn.tobytes() == replayed.tobytes()
+        std = math.sqrt(CAUCHY_LIKE.small_jump_variance * (T / n_steps)
+                        * (1.0 / cells) ** d)
+        expected = std * rng.standard_normal((n_steps, cells**d))
+        sur = path.surrogate
+        assert sur.shape == expected.shape and sur.size == expected.size
+        assert sur.full().tobytes() == expected.tobytes()
+        # the row stream gives the same values, one step at a time
+        assert np.stack(list(sur.rows())).tobytes() == expected.tobytes()
+        # zero_after keeps the rows of the steps before the cut
+        cut = zero_after(path, 0.5)
+        assert cut.surrogate.live_steps == n_steps // 2
+        np.testing.assert_array_equal(cut.surrogate.full()[:10],
+                                      expected[:10])
+        assert not cut.surrogate.full()[10:].any()
+        assert len(list(cut.surrogate.rows())) == 10
+
+    def test_truncate_shares_the_surrogate(self):
+        path = sample_path(CAUCHY_LIKE, 1.0, 10, 3, cells_per_dim=4)
+        assert truncate(path, 0.05).surrogate is path.surrogate
+
+    def test_d2_sample_path_draws_no_surrogate(self):
+        # a 256 x 256 cell surrogate over 50 steps is 26 MB when drawn
+        tracemalloc.start()
+        try:
+            path = sample_path(CAUCHY_LIKE, 1.0, 50, 9, cells_per_dim=256,
+                               dimension=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.surrogate.size == 50 * 256**2
+        assert peak < 2**20
 
 
 class TestTruncation:
@@ -225,10 +275,11 @@ class TestStepAssignment:
         assert integrate_step_field(H, p) == float(np.sum(steps))
         # zero_after too: it keeps the surrogate of exactly the steps that
         # start before the cut
-        p = dataclasses.replace(p, surrogate=np.ones((n_steps, 4)))
+        p = dataclasses.replace(p, surrogate=sample_path(
+            CAUCHY_LIKE, T, n_steps, 0, cells_per_dim=4).surrogate)
         starts = np.arange(n_steps) * p.dt
         for t in times:
-            kept = zero_after(p, t).surrogate.any(axis=1)
+            kept = zero_after(p, t).surrogate.full().any(axis=1)
             np.testing.assert_array_equal(kept, starts < t)
 
 

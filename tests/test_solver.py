@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import _paste_oracle as oracle
 import fswe.solver
 from fswe.basis import build_basis, embedding_constant
-from fswe.noise import (LevyMeasureSpec, sample_path, truncate, zero_after)
+from fswe.noise import (GaussianSurrogate, LevyMeasureSpec, sample_path,
+                        truncate, zero_after)
 from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
                          SolverError, clamp_radius, detect_stop, make_setup,
-                         paste_over_K, paste_over_N, row_groups, solve_rows,
-                         solve_truncated, solve_untruncated, step)
+                         paste_over_K, paste_over_N, paste_rows, row_groups,
+                         solve_rows, solve_truncated, solve_untruncated, step)
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
 ASYMMETRIC = LevyMeasureSpec(variant="atoms", atoms=((1.5, 1.0), (-0.5, 0.5)))
@@ -193,7 +194,8 @@ class TestDynamics:
             jump_positions=path.jump_positions[:1],
             jump_sizes=path.jump_sizes[:1],
             surrogate=(None if path.surrogate is None
-                       else np.zeros_like(path.surrogate)))
+                       else dataclasses.replace(path.surrogate,
+                                                live_steps=0)))
         traj = solve_untruncated(one, setup)
         t0, x0, z = (one.jump_times[0], one.jump_positions[0],
                      one.jump_sizes[0])
@@ -457,8 +459,8 @@ class TestBatchedRows:
             solve_rows(paths, setup, None)
 
     def test_d2_paste_allocates_less_than_a_surrogate(self):
-        # the kernel reads the surrogate one step at a time, as a view:
-        # no copy or stack of a whole-path surrogate
+        # the solve draws the surrogate one step at a time: no whole-path
+        # surrogate is built, copied or stacked
         basis = build_basis(2, 64, grid_size=65)
         setup = make_setup(basis, 3.0, 1.5, 1.0, 50,
                            COEFFICIENT_PRESETS["constant"])
@@ -472,7 +474,135 @@ class TestBatchedRows:
         finally:
             tracemalloc.stop()
         assert len(traj.stopping.tau_by_K) == 4   # every K level entered
-        assert peak < path.surrogate.nbytes
+        assert peak < path.surrogate.full().nbytes
+
+
+def _assert_same_record(new, old):
+    for name in ("tau_by_N", "tau_brackets", "tau_by_K", "cap_reached"):
+        assert getattr(new.stopping, name) == getattr(old.stopping, name), \
+            name
+
+
+def _paste_batch_as_lone(paths, setup, K_schedule, N_max):
+    """Paste the paths as the rows of one batch and check every row
+    against the one-path call and the level-by-level oracle. Returns the
+    batch's trajectories."""
+    batch = paste_rows(paths, setup, K_schedule, N_max)
+    assert len(batch) == len(paths)
+    for path, new in zip(paths, batch):
+        if K_schedule is None:
+            lone = paste_over_N(path, setup, N_max=N_max)
+            old = oracle.paste_over_N(path, setup, N_max=N_max)
+            assert new.stopping.tau_by_N == old.stopping.tau_by_N
+            assert new.stopping.tau_brackets == old.stopping.tau_brackets
+        else:
+            lone = paste_over_K(path, setup, K_schedule=K_schedule,
+                                N_max=N_max)
+            old = oracle.paste_over_K(path, setup, K_schedule=K_schedule,
+                                      N_max=N_max)
+        _assert_same_pasting(new, lone)
+        _assert_same_record(new, lone)
+        _assert_same_pasting(new, old)
+        assert old.stopping.cap_reached or not new.stopping.cap_reached
+    return batch
+
+
+class TestBatchedPasting:
+    """paste_rows against lone paste_over_K/paste_over_N calls and the
+    level-by-level oracle: a pasted row's bytes and record do not depend
+    on the batch it is pasted in."""
+
+    @given(d=st.sampled_from([1, 2]),
+           preset=st.sampled_from(sorted(COEFFICIENT_PRESETS) + ["wave"]),
+           noise=st.sampled_from(["rademacher", "asymmetric", 0.8, 1.5]),
+           N_max=st.sampled_from([1, 2, 8]),
+           cuts=st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_rows_match_lone_pastes(self, d, preset, noise, N_max, cuts,
+                                    seed):
+        basis = build_basis(2, 9, grid_size=21) if d == 2 \
+            else build_basis(1, 8)
+        gamma, r = (3.0, 1.5) if d == 2 else (2.0, 1.0)
+        pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
+        setup = make_setup(basis, gamma, r, 1.0, 20, pair)
+        spec = {"rademacher": RADEMACHER, "asymmetric": ASYMMETRIC}.get(
+            noise) or LevyMeasureSpec(variant="stable", alpha=noise,
+                                      cutoff=0.01)
+        # one row per cut: its own path, zeroed after the cut if any
+        paths = []
+        for p, cut in enumerate(cuts):
+            path = sample_path(spec, 1.0, 20, seed + p,
+                               cells_per_dim=basis.grid_size - 1, dimension=d)
+            paths.append(path if cut is None else zero_after(path, cut))
+        K_schedule = (None if spec.variant == "atoms"
+                      else (0.5, 1.0, 2.0, 4.0))
+        _paste_batch_as_lone(paths, setup, K_schedule, N_max)
+
+    def test_batch_covers_levels_caps_and_cut_surrogates(self):
+        # a fixed batch with every case the property above draws at random
+        basis = build_basis(1, 8)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 30, WAVE)
+        spec = LevyMeasureSpec(variant="stable", alpha=0.8, cutoff=0.01)
+        paths = [sample_path(spec, 1.0, 30, p,
+                             cells_per_dim=basis.grid_size - 1)
+                 for p in range(12)]
+        paths[1::3] = [zero_after(p, 0.4) for p in paths[1::3]]
+        K_schedule = (1.0, 2.0, 4.0, 8.0)
+        batch = _paste_batch_as_lone(paths, setup, K_schedule, N_max=2)
+        # rows enter their K levels at different grid indices
+        entries = {tuple(np.flatnonzero(np.diff(t.active_K)) + 1)
+                   for t in batch}
+        assert len(entries) >= 4, entries
+        assert len({len(t.stopping.tau_by_K) for t in batch}) >= 3
+        assert any(t.active_N.max() == 2 for t in batch)       # N rises
+        assert any(t.stopping.cap_reached for t in batch)
+        assert not all(t.stopping.cap_reached for t in batch)
+        assert paths[1].surrogate.live_steps == 12 < setup.n_steps
+
+    def test_rows_share_a_surrogate_stream(self, basis, monkeypatch):
+        # truncations of one path share its surrogate object: the batch
+        # opens one stream for them and advances it once per grid step
+        opened = []
+        rows = GaussianSurrogate.rows
+
+        def counted(self):
+            opened.append(self)
+            return rows(self)
+
+        monkeypatch.setattr(GaussianSurrogate, "rows", counted)
+        spec = LevyMeasureSpec(variant="stable", alpha=0.8, cutoff=0.01)
+        setup = setup_for(basis, "wave", n_steps=30)
+        path = sample_path(spec, 1.0, 30, 3,
+                           cells_per_dim=basis.grid_size - 1)
+        levels = [truncate(path, K) for K in (0.05, 0.2, 8.0)]
+        assert len({id(p) for p in levels}) == 3
+        assert all(p.surrogate is path.surrogate for p in levels)
+        radius = np.full(3, clamp_radius(8, setup.C_inf))
+        norms, coeffs = solve_rows(levels, setup, radius, keep=slice(None))
+        assert opened == [path.surrogate]
+        for i, p in enumerate(levels):
+            ref = solve_truncated(8, p, setup)
+            assert coeffs[i].tobytes() == ref.coeffs.tobytes(), i
+            assert norms[i].tobytes() == ref.hr_norms.tobytes(), i
+
+    def test_paste_rows_steps_once_per_grid_step(self, basis, monkeypatch):
+        calls = []
+        step = fswe.solver.step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(fswe.solver, "step", counted)
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        setup = setup_for(basis, "wave", n_steps=50)
+        paths = [sample_path(spec, 1.0, 50, s,
+                             cells_per_dim=basis.grid_size - 1)
+                 for s in range(8)]
+        paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
+        assert calls == list(range(setup.n_steps))
 
 
 class TestEmbeddingInteraction:

@@ -89,6 +89,24 @@ class TestAdditiveSuite:
         assert not rep.passed
 
 
+    def test_report_does_not_depend_on_block_size(self, monkeypatch):
+        # one block of 40 replicas against blocks of 7, each replica
+        # solved as a row and summed in replica order
+        basis = build_basis(1, 4)
+        whole = additive_linear_suite(basis, 2.0, 1.0, RADEMACHER, R=40,
+                                      base_seed=2, n_steps=20)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 20,
+                           fswe.solver.COEFFICIENT_PRESETS["additive"])
+        assert len(fswe.solver.row_blocks(setup, 40, kept=1)) == 1
+        monkeypatch.setattr(fswe.solver, "_BLOCK_VALUES",
+                            7 * (basis.grid_size + 21 * 4))
+        assert [len(b) for b in fswe.solver.row_blocks(setup, 40, kept=1)] \
+            == [7] * 5 + [5]
+        split = additive_linear_suite(basis, 2.0, 1.0, RADEMACHER, R=40,
+                                      base_seed=2, n_steps=20)
+        assert split.to_dict() == whole.to_dict()
+
+
 class TestBoundSuites:
     def test_moment_bound_passes(self, setup):
         rep = check_moment_bound(setup, RADEMACHER, N_values=(1, 2), R=100,
@@ -145,11 +163,11 @@ class TestBoundSuites:
                                                  suite, kept):
         # one block of 23 replicas against blocks of 3 and a last one of 2
         whole = suite(setup, RADEMACHER, N_values=(1, 2), R=23, base_seed=9)
-        assert len(fswe.verify._replica_blocks(setup, 23, 2, kept)) == 1
+        assert len(fswe.solver.row_blocks(setup, 23, 2, kept)) == 1
         history = (setup.n_steps + 1) * setup.basis.mode_count
-        monkeypatch.setattr(fswe.verify, "_BLOCK_VALUES",
+        monkeypatch.setattr(fswe.solver, "_BLOCK_VALUES",
                             3 * (2 * setup.basis.grid_size + kept * history))
-        blocks = fswe.verify._replica_blocks(setup, 23, 2, kept)
+        blocks = fswe.solver.row_blocks(setup, 23, 2, kept)
         assert [len(b) for b in blocks] == [3] * 7 + [2]
         split = suite(setup, RADEMACHER, N_values=(1, 2), R=23, base_seed=9)
         assert split.to_dict() == whole.to_dict()
@@ -163,8 +181,8 @@ class TestBoundSuites:
         setup = make_setup(build_basis(1, 64), 2.0, 1.0, 1.0, 50, WAVE)
         per_replica = (2 * setup.basis.grid_size
                        + (setup.n_steps + 1) * setup.basis.mode_count)
-        monkeypatch.setattr(fswe.verify, "_BLOCK_VALUES", 8 * per_replica)
-        assert len(fswe.verify._replica_blocks(setup, 60, 2, 1)[0]) == 8
+        monkeypatch.setattr(fswe.solver, "_BLOCK_VALUES", 8 * per_replica)
+        assert len(fswe.solver.row_blocks(setup, 60, 2, 1)[0]) == 8
         setup.phases  # tabulated once per setup
         tracemalloc.start()
         try:
@@ -173,7 +191,29 @@ class TestBoundSuites:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * fswe.verify._BLOCK_VALUES
+        assert peak <= 4 * 8 * fswe.solver._BLOCK_VALUES
+
+    def test_d2_moment_diagnostic_stays_within_the_cap(self, monkeypatch):
+        # d=2 synthesizes the pointwise history in chunks of times within
+        # the cap: one replica's whole (51, 257^2) history would be 27 MB.
+        # The report has the bytes of the whole-history np.mean.
+        setup = make_setup(build_basis(2, 64), 3.0, 1.5, 1.0, 50,
+                           fswe.solver.COEFFICIENT_PRESETS["linear"])
+        setup.phases  # tabulated once per setup
+        tracemalloc.start()
+        try:
+            chunked = check_moment_bound(setup, RADEMACHER, N_values=(1,),
+                                         R=2, base_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * fswe.solver._BLOCK_VALUES
+        monkeypatch.setattr(
+            fswe.verify, "_time_mean_square",
+            lambda setup, c: np.mean(setup.basis.synthesize(c) ** 2, axis=0))
+        whole = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=2,
+                                   base_seed=3)
+        assert chunked.to_dict() == whole.to_dict()
 
     def test_verdicts_cite_inputs(self, setup):
         rep = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=20,
