@@ -29,7 +29,10 @@ from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, NoisePath,
                     export_path, sample_path, spec_from_dict, spec_to_dict)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, Trajectory,
                      check_K_schedule, check_exponents, make_setup,
-                     paste_over_K, paste_over_N, paste_rows, row_blocks)
+                     paste_rows, row_blocks)
+# not called here: perfbench's per-layer tracer wraps these names on this
+# module, and its tests expect them to be present
+from .solver import paste_over_K, paste_over_N  # noqa: F401
 from . import verify as verify_mod
 
 
@@ -174,22 +177,10 @@ def _sample(config: RunConfig, setup: SolveSetup, seed: int) -> NoisePath:
                        dimension=config.dimension)
 
 
-def _solve_one(config: RunConfig, setup: SolveSetup, seed: int) -> Trajectory:
-    spec = config.levy_spec()
-    path = _sample(config, setup, seed)
-    if config.K_schedule is not None:
-        return paste_over_K(path, setup,
-                            K_schedule=tuple(config.K_schedule),
-                            N_max=config.N_max)
-    if not spec.has_finite_variance:
-        raise ConfigError(_NEEDS_K_SCHEDULE)
-    return paste_over_N(path, setup, N_max=config.N_max)
-
-
 def cmd_simulate(config: RunConfig, seed: int, out: Path) -> int:
     t0 = time.perf_counter()
     setup = config.build()
-    traj = _solve_one(config, setup, seed)
+    traj = _paste_seeds(config, setup, [seed])[0]
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", traj, with_coeffs=True)
     write_summary(out / "summary.json", config, seed, {"trajectory": traj},
@@ -213,8 +204,9 @@ def cmd_noise(config: RunConfig, seed: int, out: Path) -> int:
 
 def _paste_seeds(config: RunConfig, setup: SolveSetup,
                  seeds: list[int]) -> list[Trajectory]:
-    """The trajectories _solve_one gives the seeds, pasted in blocks of
-    rows: one step call per grid step per block."""
+    """The pasted trajectories of the seeds' noise paths, in blocks of
+    rows: one step call per grid step per block. Pastes over K when the
+    config has a K_schedule, else over N (finite variance only)."""
     if (config.K_schedule is None
             and not config.levy_spec().has_finite_variance):
         raise ConfigError(_NEEDS_K_SCHEDULE)

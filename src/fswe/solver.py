@@ -287,7 +287,7 @@ def _draw(streams: dict) -> dict:
 
 def step(state: ModeState, groups: Sequence[RowGroup], n: int,
          setup: SolveSetup, radius: np.ndarray | None,
-         noise: dict | None = None) -> ModeState:
+         noise: dict) -> ModeState:
     """Advance every row one step [n dt, (n+1) dt) with left-point evaluation.
 
     The state arrays have shape (rows, M), and each group's path drives the
@@ -355,7 +355,7 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         Mc -= m1 * dt * cos_t[n] * comp
         Ms -= m1 * dt * sin_t[n] * comp
 
-    live = [g for g in groups if noise and g.path.surrogate in noise]
+    live = [g for g in groups if g.path.surrogate in noise]
     if live:
         # every surrogate-driven row in one stacked projection
         if len(live) == 1:

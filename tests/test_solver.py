@@ -129,7 +129,7 @@ def _kernel_arguments(pair, peaks, N, C_inf):
         path_for(basis, 0, n_steps=1), jump_times=np.zeros(1),
         jump_positions=np.full((1, 1), 0.5), jump_sizes=np.ones(1))
     radius = np.full(len(peaks), clamp_radius(N, C_inf))
-    step(state, row_groups([path] * len(peaks), setup), 0, setup, radius)
+    step(state, row_groups([path] * len(peaks), setup), 0, setup, radius, {})
     return basis.synthesize(state.u), seen
 
 
