@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import EigenBasis, build_basis
 from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, NoisePath,
                     export_path, sample_path, spec_from_dict, spec_to_dict)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, Trajectory,
@@ -171,9 +171,10 @@ def _json_inf(obj):
 _NEEDS_K_SCHEDULE = "infinite-variance noise requires a K_schedule for pasting"
 
 
-def _sample(config: RunConfig, setup: SolveSetup, seed: int) -> NoisePath:
+def _sample(config: RunConfig, basis: EigenBasis, seed: int) -> NoisePath:
+    """The noise path of seed: one surrogate cell per grid interval."""
     return sample_path(config.levy_spec(), config.T, config.n_steps, seed,
-                       cells_per_dim=setup.basis.grid_size - 1,
+                       cells_per_dim=basis.grid_size - 1,
                        dimension=config.dimension)
 
 
@@ -190,12 +191,8 @@ def cmd_simulate(config: RunConfig, seed: int, out: Path) -> int:
 
 
 def cmd_noise(config: RunConfig, seed: int, out: Path) -> int:
-    spec = config.levy_spec()
-    # the same cells simulate uses: one per quadrature interval
-    grid = build_basis(config.dimension, config.modes,
-                       grid_size=config.grid_size).grid_size
-    path = sample_path(spec, config.T, config.n_steps, seed,
-                       cells_per_dim=grid - 1, dimension=config.dimension)
+    path = _sample(config, build_basis(config.dimension, config.modes,
+                                       grid_size=config.grid_size), seed)
     out.mkdir(parents=True, exist_ok=True)
     export_path(path, out / "noise.csv", out / "noise.json")
     print(f"wrote {out / 'noise.csv'} ({len(path.jump_times)} jumps)")
@@ -213,7 +210,7 @@ def _paste_seeds(config: RunConfig, setup: SolveSetup,
     trajs = []
     # one row per replica, keeping its coefficient history
     for block in row_blocks(setup, len(seeds), kept=1):
-        paths = [_sample(config, setup, seeds[i]) for i in block]
+        paths = [_sample(config, setup.basis, seeds[i]) for i in block]
         trajs += paste_rows(paths, setup, config.K_schedule, config.N_max)
     return trajs
 

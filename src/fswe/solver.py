@@ -162,6 +162,13 @@ class SolveSetup:
         return self.T / self.n_steps
 
     @functools.cached_property
+    def times(self) -> np.ndarray:
+        """The grid times, shape (n_steps + 1,), read-only."""
+        times = np.linspace(0.0, self.T, self.n_steps + 1)
+        times.flags.writeable = False
+        return times
+
+    @functools.cached_property
     def phases(self) -> tuple[np.ndarray, np.ndarray]:
         """cos(omega t_n) and sin(omega t_n) at the grid times t_n = n dt,
         each of shape (n_steps + 1, M); tabulated on first use."""
@@ -457,11 +464,9 @@ def _run(path: NoisePath, setup: SolveSetup,
     norms, coeffs = solve_rows(
         [path], setup, None if radius is None else np.array([radius]),
         keep=slice(None))
-    n_steps = setup.n_steps
-    return Trajectory(times=np.linspace(0.0, setup.T, n_steps + 1),
-                      hr_norms=norms[0], coeffs=coeffs[0],
-                      active_N=np.zeros(n_steps + 1, dtype=int),
-                      active_K=np.full(n_steps + 1, math.inf),
+    return Trajectory(times=setup.times, hr_norms=norms[0], coeffs=coeffs[0],
+                      active_N=np.zeros(len(setup.times), dtype=int),
+                      active_K=np.full(len(setup.times), math.inf),
                       stopping=StoppingRecord())
 
 
@@ -546,8 +551,7 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
         _check_path(path, setup)
     if N_max < 1:
         raise SolverError(f"need N_max >= 1, got {N_max}")
-    n_steps, rows = setup.n_steps, len(paths)
-    times = np.linspace(0.0, setup.T, n_steps + 1)
+    n_steps, rows, times = setup.n_steps, len(paths), setup.times
     coeffs = np.zeros((rows, n_steps + 1, setup.basis.mode_count))
     norms = np.zeros((rows, n_steps + 1))
     active_N = np.zeros((rows, n_steps + 1), dtype=int)

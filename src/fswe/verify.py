@@ -19,8 +19,10 @@ from .basis import EigenBasis, lambda_power_sum, lambda_power_tail
 from .noise import (LevyMeasureSpec, NoisePath, first_large_jump,
                     integrate_step_field, sample_path, truncate, zero_after)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, clamp_radius,
-                     make_setup, paste_over_N, row_blocks, solve_rows,
-                     solve_truncated, stop_times)
+                     make_setup, paste_rows, row_blocks, solve_rows,
+                     stop_times)
+# not called here: perfbench's tracer wraps fswe.verify.solve_truncated
+from .solver import solve_truncated  # noqa: F401
 
 
 def replica_seed(base: int, index: int) -> int:
@@ -32,6 +34,17 @@ def replica_seed(base: int, index: int) -> int:
     (e.g. base = run_id << 32).
     """
     return base ^ index
+
+
+def _replica_paths(spec: LevyMeasureSpec, setup: SolveSetup, base_seed: int,
+                   block: range) -> list[NoisePath]:
+    """The block's noise paths, in order: replica i draws from seed
+    replica_seed(base_seed, i), with one surrogate cell per grid interval."""
+    return [sample_path(spec, setup.T, setup.n_steps,
+                        replica_seed(base_seed, i),
+                        cells_per_dim=setup.basis.grid_size - 1,
+                        dimension=setup.basis.dimension)
+            for i in block]
 
 
 @dataclass
@@ -79,14 +92,8 @@ def hatC(T: float, D_b: float, D_sigma: float, m2: float,
 
     The series is the partial sum over the M modes plus the analytic bound
     on the modes beyond M, so it bounds the infinite series from above
-    (|D| = 1 on the unit box).
+    (|D| = 1 on the unit box); the tail bound raises unless r < gamma - d/2.
     """
-    d = basis.dimension
-    if r >= gamma - d / 2.0:
-        raise ValueError(
-            f"sum of lambda^(r-gamma) diverges: need r < gamma - d/2, "
-            f"got r={r}, gamma={gamma}, d={d}"
-        )
     s = (lambda_power_sum(basis, r - gamma)
          + lambda_power_tail(basis, r - gamma))
     return 4.0 * (T * D_b**2 + 16.0 * m2 * D_sigma**2) * s
@@ -165,16 +172,12 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
     setup = make_setup(basis, gamma, r, T, n_steps,
                        COEFFICIENT_PRESETS["additive"])
     m2 = spec.m2 * (2.0 if corrupt else 1.0)
-    times = np.linspace(0.0, T, n_steps + 1)
     idx = [int(round(t / setup.dt)) for t in t_checks]
     M = basis.mode_count
     acc = np.zeros((len(idx), M, 2))       # sums of u^2 and u^4 per (time, mode)
     cross = np.zeros(2)                    # u_1 u_2 at final time
     for block in row_blocks(setup, R, kept=1):
-        paths = [sample_path(spec, T, n_steps, replica_seed(base_seed, i),
-                             cells_per_dim=basis.grid_size - 1,
-                             dimension=basis.dimension)
-                 for i in block]
+        paths = _replica_paths(spec, setup, base_seed, block)
         _, histories = solve_rows(paths, setup, None, keep=slice(None))
         for coeffs in histories:           # in replica order
             u = coeffs[idx]                # (n_checks, M)
@@ -190,7 +193,7 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
             var = max(acc[j, k, 1] / R - mean**2, 0.0)
             se = math.sqrt(var / R)
             expected = mode_variance_closed_form(
-                m2, basis.eigenvalues[k], gamma, times[idx[j]])
+                m2, basis.eigenvalues[k], gamma, setup.times[idx[j]])
             verdicts.append(Verdict(
                 name=f"mode {k + 1} variance at t={t}",
                 passed=abs(mean - expected) <= 3 * se,
@@ -215,11 +218,7 @@ def _solve_levels(setup: SolveSetup, spec: LevyMeasureSpec, base_seed: int,
     level N in one batch: row i*len(N_values) + j is replica block[i] at
     level N_values[j], solved from t=0 on its own row. Returns solve_rows'
     norms and kept coefficient histories."""
-    paths = [sample_path(spec, setup.T, setup.n_steps,
-                         replica_seed(base_seed, i),
-                         cells_per_dim=setup.basis.grid_size - 1,
-                         dimension=setup.basis.dimension)
-             for i in block]
+    paths = _replica_paths(spec, setup, base_seed, block)
     radius = np.tile([clamp_radius(N, setup.C_inf) for N in N_values],
                      len(paths))
     return solve_rows([p for p in paths for _ in N_values], setup, radius,
@@ -246,6 +245,15 @@ def _time_mean_square(setup: SolveSetup, coeffs: np.ndarray) -> np.ndarray:
     return total / len(coeffs)
 
 
+def _bound_inputs(setup: SolveSetup, spec: LevyMeasureSpec) -> dict:
+    """The formula inputs every verdict of the two bound suites cites."""
+    return {
+        "T": setup.T, "D_b": setup.pair.D_b, "D_sigma": setup.pair.D_sigma,
+        "m2": spec.m2, "C_inf": setup.C_inf,
+        "lambda_sum": lambda_power_sum(setup.basis, setup.r - setup.gamma),
+    }
+
+
 def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
                        N_values: tuple[int, ...] = (1, 2, 4, 8),
                        R: int = 1000, base_seed: int = 11,
@@ -264,11 +272,7 @@ def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     bound = moment_growth_bound(setup, spec.m2)
     if corrupt:
         bound *= 1e-3
-    inputs = {
-        "T": setup.T, "D_b": setup.pair.D_b, "D_sigma": setup.pair.D_sigma,
-        "m2": spec.m2, "C_inf": setup.C_inf,
-        "lambda_sum": lambda_power_sum(setup.basis, setup.r - setup.gamma),
-    }
+    inputs = _bound_inputs(setup, spec)
     L = len(N_values)
     sums = np.zeros((L, 2))   # per level: running sum, sum of squares
     sq_field_mean = np.zeros(setup.basis.grid_size**setup.basis.dimension)
@@ -314,20 +318,15 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     bound_base = moment_growth_bound(setup, spec.m2)
     if corrupt:
         bound_base *= 1e-6
-    inputs = {
-        "T": setup.T, "D_b": setup.pair.D_b, "D_sigma": setup.pair.D_sigma,
-        "m2": spec.m2, "C_inf": setup.C_inf,
-        "lambda_sum": lambda_power_sum(setup.basis, setup.r - setup.gamma),
-    }
+    inputs = _bound_inputs(setup, spec)
     L = len(N_values)
     # corrupt mode sabotages the detector so the tail check must trip
     levels = [1e-6 * N if corrupt else N for N in N_values]
-    times = np.linspace(0.0, setup.T, setup.n_steps + 1)
     taus = np.zeros((L, R))
     for block in row_blocks(setup, R, L):
         norms, _ = _solve_levels(setup, spec, base_seed, block, N_values)
         taus[:, block.start:block.stop] = stop_times(
-            times, norms, levels * len(block)).reshape(len(block), L).T
+            setup.times, norms, levels * len(block)).reshape(len(block), L).T
     verdicts = []
     probs = (taus <= setup.T).mean(axis=1)
     # cap at T + dt so inf - inf never pollutes the monotonicity diffs
@@ -381,66 +380,64 @@ def _prefix_equal(a: np.ndarray, b: np.ndarray, upto: int) -> bool:
     return bool(np.array_equal(a[:upto], b[:upto]))
 
 
+def _level_K1_path(spath: NoisePath, K: float, corrupt: bool) -> NoisePath:
+    """spath truncated at K + 1; corrupt mode also drops its jumps in
+    (K/2, K], and the (K, K+1) verdict must notice."""
+    path = truncate(spath, K + 1.0)
+    if not corrupt:
+        return path
+    z = np.abs(path.jump_sizes)
+    keep = (z <= K / 2.0) | (z > K)
+    return replace(path, jump_times=path.jump_times[keep],
+                   jump_positions=path.jump_positions[keep],
+                   jump_sizes=path.jump_sizes[keep])
+
+
 def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
                       stable_spec: LevyMeasureSpec | None = None,
                       n_seeds: int = 100, base_seed: int = 23,
                       N: int = 1, K: float = 1.0,
                       corrupt: bool = False) -> EnsembleReport:
     """Coupled-run identities: (N, N+1) agreement before tau_N, (K, K+1)
-    agreement before tau^K, and the zero-the-future localization test."""
-    dt = setup.dt
-    times = np.linspace(0.0, setup.T, setup.n_steps + 1)
-    n_ok = k_ok = loc_ok = 0
-    k_total = 0
+    agreement before tau^K, and the zero-the-future localization test.
+
+    A block of replicas solves three rows per replica in one batch, each
+    from t=0: the path at level N, at level N+1, and zeroed after a random
+    cut at level N+1. Its stable paths truncated at K and at K+1 are rows
+    of one paste_rows pass. No row is derived from another.
+    """
+    dt, times, n_steps = setup.dt, setup.times, setup.n_steps
     rng = np.random.default_rng(base_seed)
-    for i in range(n_seeds):
-        seed = replica_seed(base_seed, i)
-        path = sample_path(spec, setup.T, setup.n_steps, seed,
-                           cells_per_dim=setup.basis.grid_size - 1,
-                           dimension=setup.basis.dimension)
-        if corrupt:
-            # level N clamped at a twentieth of its radius
-            norms, coeffs = solve_rows(
-                [path], setup, np.array([clamp_radius(N, 0.05 * setup.C_inf)]),
-                keep=slice(None))
-            coeffs_N, tau = coeffs[0], float(stop_times(times, norms, [N])[0])
-        else:
-            traj_N = solve_truncated(N, path, setup)
-            coeffs_N, tau = traj_N.coeffs, traj_N.stopping.tau_by_N[N]
-        traj_N1 = solve_truncated(N + 1, path, setup)
-        upto = setup.n_steps + 1 if math.isinf(tau) else int(round(tau / dt))
-        if _prefix_equal(coeffs_N, traj_N1.coeffs, upto):
-            n_ok += 1
-
-        # localization: zeroing the future never changes the past
-        cut_idx = int(rng.integers(1, setup.n_steps))
-        path_cut = zero_after(path, cut_idx * dt)
-        traj_cut = solve_truncated(N + 1, path_cut, setup)
-        if _prefix_equal(traj_N1.coeffs, traj_cut.coeffs, cut_idx + 1):
-            loc_ok += 1
-
+    cuts = [int(rng.integers(1, n_steps)) for _ in range(n_seeds)]
+    # corrupt mode clamps level N at a twentieth of its radius
+    C_N = 0.05 * setup.C_inf if corrupt else setup.C_inf
+    radius = [clamp_radius(N, C_N)] + [clamp_radius(N + 1, setup.C_inf)] * 2
+    n_ok = k_ok = loc_ok = 0
+    for block in row_blocks(setup, n_seeds, rows=3, kept=3):
+        paths = _replica_paths(spec, setup, base_seed, block)
+        norms, histories = solve_rows(
+            [p for i, path in zip(block, paths)
+             for p in (path, path, zero_after(path, cuts[i] * dt))],
+            setup, np.tile(radius, len(block)), keep=slice(None))
+        # the grid index of each tau_N, n_steps + 1 where it is infinite
+        ends = np.searchsorted(times, stop_times(times, norms[::3],
+                                                 [N] * len(block)))
+        for i, upto, coeffs_N, coeffs_N1, coeffs_cut in zip(
+                block, ends, histories[::3], histories[1::3],
+                histories[2::3]):
+            n_ok += _prefix_equal(coeffs_N, coeffs_N1, upto)
+            # localization: zeroing the future never changes the past
+            loc_ok += _prefix_equal(coeffs_N1, coeffs_cut, cuts[i] + 1)
         if stable_spec is not None:
-            spath = sample_path(stable_spec, setup.T, setup.n_steps, seed,
-                                cells_per_dim=setup.basis.grid_size - 1,
-                                dimension=setup.basis.dimension)
-            tau_K = first_large_jump(spath, K)
-            traj_K = paste_over_N(truncate(spath, K), setup)
-            spath_K1 = truncate(spath, K + 1.0)
-            if corrupt:
-                # level K+1 alone loses the jumps in (K/2, K]; the (K, K+1)
-                # verdict must notice
-                z = np.abs(spath_K1.jump_sizes)
-                keep = (z <= K / 2.0) | (z > K)
-                spath_K1 = replace(spath_K1,
-                                   jump_times=spath_K1.jump_times[keep],
-                                   jump_positions=spath_K1.jump_positions[keep],
-                                   jump_sizes=spath_K1.jump_sizes[keep])
-            traj_K1 = paste_over_N(spath_K1, setup)
-            upto_K = (setup.n_steps + 1 if math.isinf(tau_K)
-                      else int(np.searchsorted(times, tau_K, side="left")))
-            k_total += 1
-            if _prefix_equal(traj_K.coeffs, traj_K1.coeffs, upto_K):
-                k_ok += 1
+            spaths = _replica_paths(stable_spec, setup, base_seed, block)
+            pasted = paste_rows([p for spath in spaths
+                                 for p in (truncate(spath, K),
+                                           _level_K1_path(spath, K, corrupt))],
+                                setup)
+            for spath, traj_K, traj_K1 in zip(spaths, pasted[::2],
+                                              pasted[1::2]):
+                upto_K = np.searchsorted(times, first_large_jump(spath, K))
+                k_ok += _prefix_equal(traj_K.coeffs, traj_K1.coeffs, upto_K)
 
     verdicts = [
         Verdict(name="(N, N+1) coupling bit-exact before tau_N",
@@ -453,7 +450,7 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
     if stable_spec is not None:
         verdicts.append(Verdict(
             name="(K, K+1) coupling bit-exact before tau^K",
-            passed=k_ok == k_total, observed=k_ok, reference=k_total,
+            passed=k_ok == n_seeds, observed=k_ok, reference=n_seeds,
             margin=0.0, inputs={"K": K, "alpha": stable_spec.alpha,
                                 "cutoff": stable_spec.cutoff}))
     return EnsembleReport("consistency", n_seeds, base_seed, verdicts)

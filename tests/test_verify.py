@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +8,10 @@ import pytest
 import fswe.solver
 import fswe.verify
 from fswe.basis import build_basis
-from fswe.noise import LevyMeasureSpec
-from fswe.solver import CoefficientPair, make_setup
+from fswe.noise import (LevyMeasureSpec, first_large_jump, sample_path,
+                        truncate, zero_after)
+from fswe.solver import (CoefficientPair, make_setup, paste_over_N,
+                         solve_truncated)
 from fswe.verify import (additive_linear_suite, check_moment_bound,
                          check_tail_bound, consistency_suite, hatC,
                          isometry_suite, mode_variance_closed_form,
@@ -16,6 +19,8 @@ from fswe.verify import (additive_linear_suite, check_moment_bound,
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
 STABLE = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+# atoms +-3 at rate 2 each: tau_1 is finite on most paths
+PM3 = LevyMeasureSpec(variant="atoms", atoms=((3.0, 2.0), (-3.0, 2.0)))
 WAVE = CoefficientPair(np.sin, np.cos, 1.0, 1.0, "wave")
 
 
@@ -156,20 +161,27 @@ class TestBoundSuites:
                            base_seed=3)
         assert seeds == [replica_seed(3, i) for i in range(20)]
 
-    @pytest.mark.parametrize("suite, kept", [(check_tail_bound, 0),
-                                             (check_moment_bound, 1)],
-                             ids=["check_tail_bound", "check_moment_bound"])
+    @pytest.mark.parametrize("suite, rows, kept", [
+        (lambda s: check_tail_bound(s, RADEMACHER, N_values=(1, 2), R=23,
+                                    base_seed=9), 2, 0),
+        (lambda s: check_moment_bound(s, RADEMACHER, N_values=(1, 2), R=23,
+                                      base_seed=9), 2, 1),
+        # corrupt, so the (K, K+1) count is neither 0 nor 23
+        (lambda s: consistency_suite(s, PM3, stable_spec=STABLE, n_seeds=23,
+                                     base_seed=9, corrupt=True), 3, 3),
+    ], ids=["check_tail_bound", "check_moment_bound", "consistency_suite"])
     def test_reports_do_not_depend_on_block_size(self, setup, monkeypatch,
-                                                 suite, kept):
+                                                 suite, rows, kept):
         # one block of 23 replicas against blocks of 3 and a last one of 2
-        whole = suite(setup, RADEMACHER, N_values=(1, 2), R=23, base_seed=9)
-        assert len(fswe.solver.row_blocks(setup, 23, 2, kept)) == 1
+        whole = suite(setup)
+        assert len(fswe.solver.row_blocks(setup, 23, rows, kept)) == 1
         history = (setup.n_steps + 1) * setup.basis.mode_count
         monkeypatch.setattr(fswe.solver, "_BLOCK_VALUES",
-                            3 * (2 * setup.basis.grid_size + kept * history))
-        blocks = fswe.solver.row_blocks(setup, 23, 2, kept)
+                            3 * (rows * setup.basis.grid_size
+                                 + kept * history))
+        blocks = fswe.solver.row_blocks(setup, 23, rows, kept)
         assert [len(b) for b in blocks] == [3] * 7 + [2]
-        split = suite(setup, RADEMACHER, N_values=(1, 2), R=23, base_seed=9)
+        split = suite(setup)
         assert split.to_dict() == whole.to_dict()
 
     def test_moment_block_stays_within_its_cap(self, monkeypatch):
@@ -268,6 +280,67 @@ class TestConsistencySuite:
                                 n_seeds=6, base_seed=31, corrupt=True)
         assert not bad.passed
         assert not _verdict(bad, "(K, K+1)").passed
+
+    def test_steps_twice_per_grid_step(self, setup, monkeypatch):
+        # 10 replicas fit one block: one solve of their (N, N+1, cut) rows
+        # and one paste of their (K, K+1) rows
+        calls = []
+        step = fswe.solver.step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(fswe.solver, "step", counted)
+        assert len(fswe.solver.row_blocks(setup, 10, 3, 3)) == 1
+        rep = consistency_suite(setup, RADEMACHER, stable_spec=STABLE,
+                                n_seeds=10, base_seed=7)
+        assert rep.passed
+        assert calls == list(range(setup.n_steps)) * 2
+
+    def test_corrupt_counts_match_lone_solves(self, setup):
+        # the counts of the batched suite, recomputed one seed at a time:
+        # a suite that paired the wrong rows would count differently
+        n, base, dt = 12, 41, setup.dt
+        rep = consistency_suite(setup, PM3, stable_spec=STABLE, n_seeds=n,
+                                base_seed=base, corrupt=True)
+        # level N clamped at a twentieth of its radius
+        small = dataclasses.replace(setup, C_inf=0.05 * setup.C_inf)
+        rng = np.random.default_rng(base)
+        cells = setup.basis.grid_size - 1
+        counts, taus = [0, 0, 0], []
+        for i in range(n):
+            seed = replica_seed(base, i)
+            path = sample_path(PM3, 1.0, setup.n_steps, seed,
+                               cells_per_dim=cells)
+            traj_N = solve_truncated(1, path, small)
+            traj_N1 = solve_truncated(2, path, setup)
+            taus.append(traj_N.stopping.tau_by_N[1])
+            upto = (setup.n_steps + 1 if math.isinf(taus[-1])
+                    else int(round(taus[-1] / dt)))
+            counts[0] += np.array_equal(traj_N.coeffs[:upto],
+                                        traj_N1.coeffs[:upto])
+            cut = int(rng.integers(1, setup.n_steps))
+            traj_cut = solve_truncated(2, zero_after(path, cut * dt), setup)
+            counts[1] += np.array_equal(traj_N1.coeffs[:cut + 1],
+                                        traj_cut.coeffs[:cut + 1])
+            spath = sample_path(STABLE, 1.0, setup.n_steps, seed,
+                                cells_per_dim=cells)
+            path_K1 = truncate(spath, 2.0)
+            z = np.abs(path_K1.jump_sizes)
+            keep = (z <= 0.5) | (z > 1.0)
+            path_K1 = dataclasses.replace(
+                path_K1, jump_times=path_K1.jump_times[keep],
+                jump_positions=path_K1.jump_positions[keep],
+                jump_sizes=path_K1.jump_sizes[keep])
+            upto_K = int(np.searchsorted(setup.times,
+                                         first_large_jump(spath, 1.0)))
+            counts[2] += np.array_equal(
+                paste_over_N(truncate(spath, 1.0), setup).coeffs[:upto_K],
+                paste_over_N(path_K1, setup).coeffs[:upto_K])
+        assert any(math.isfinite(t) for t in taus)
+        assert [v.observed for v in rep.verdicts] == counts
+        assert counts[0] < n and counts[2] < n
 
     def test_report_serializes(self, setup):
         rep = consistency_suite(setup, RADEMACHER, n_seeds=3, base_seed=8)
