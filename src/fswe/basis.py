@@ -258,21 +258,18 @@ def _probe_sup(basis: EigenBasis, c: np.ndarray,
     return np.reshape(sups, c.shape[:-1])
 
 
-def embedding_constant(basis: EigenBasis, r: float,
-                       grid_size: int | None = None) -> float:
+def embedding_constant(basis: EigenBasis, r: float) -> float:
     """C_inf, the max over a probe grid of
     (sum_{k<=M} lambda_k^{-r} e_k(x)^2)^(1/2).
 
     It bounds |f(x)| <= C_inf ||f||_{H_r} at the probe points for any field
     supported on the first M modes (Cauchy-Schwarz on the coefficient
-    series). The probe grid defaults to the quadrature grid.
+    series). The probe grid is the quadrature grid.
     """
     d = basis.dimension
     if r <= d / 2.0:
         raise BasisError(
             f"embedding into L-infinity requires r > d/2 = {d / 2}; got r={r}"
         )
-    if grid_size is None:
-        grid_size = basis.grid_size
     return float(np.sqrt(_probe_sup(basis, basis.eigenvalues ** (-r),
-                                    grid_size)))
+                                    basis.grid_size)))

@@ -48,6 +48,9 @@ class LevyMeasureSpec:
                     raise NoiseError("atom at z=0 is not a jump")
                 if rho < 0.0:
                     raise NoiseError(f"negative rate {rho}")
+            if self.cutoff != 0.0:
+                raise NoiseError("atoms are all simulated exactly; an atom "
+                                 "measure takes no jump cutoff")
         elif self.variant == "stable":
             if self.alpha is None or not 0.0 < self.alpha < 2.0:
                 raise NoiseError(f"stable index must be in (0,2), got {self.alpha}")
@@ -81,9 +84,7 @@ class LevyMeasureSpec:
 
     @property
     def m2(self) -> float:
-        if self.variant == "stable":
-            return math.inf
-        return float(sum(rho * z * z for z, rho in self.atoms))
+        return self.m2_truncated(math.inf)
 
     def m2_truncated(self, K: float) -> float:
         """int_{|z|<=K} z^2 nu(dz)."""
@@ -100,17 +101,15 @@ class LevyMeasureSpec:
 
     @property
     def small_jump_variance(self) -> float:
-        """sigma_eps^2 = int_{|z|<=eps} z^2 nu(dz), the surrogate intensity."""
-        if self.variant == "stable":
-            return self.m2_truncated(self.cutoff)
-        return 0.0  # atoms are all simulated exactly
+        """sigma_eps^2 = int_{|z|<=eps} z^2 nu(dz), the surrogate intensity
+        (zero for atoms, whose cutoff is zero)."""
+        return self.m2_truncated(self.cutoff)
 
     @property
     def jump_rate(self) -> float:
-        """Total rate of exactly-simulated jumps per unit space-time."""
-        if self.variant == "stable":
-            return self.tail_mass(self.cutoff)
-        return float(sum(rho for _, rho in self.atoms))
+        """Total rate nu(|z| > eps) of exactly-simulated jumps per unit
+        space-time."""
+        return self.tail_mass(self.cutoff)
 
     def sample_jump_sizes(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n sizes from nu restricted to {|z| > cutoff}, normalized."""
@@ -303,31 +302,37 @@ def zero_after(path: NoisePath, t_cut: float) -> NoisePath:
                    jump_sizes=path.jump_sizes[keep], surrogate=surrogate)
 
 
-def integrate_step_field(H: np.ndarray, path: NoisePath) -> float:
+def integrate_step_field(H: np.ndarray,
+                         path: NoisePath) -> float | np.ndarray:
     """Ito integral of a predictable step field against the (compensated)
     noise: jump sums minus the compensator plus the surrogate contribution.
 
-    H has shape (n_steps, n_cells), constant on each (step, cell).
+    H has shape (..., n_steps, n_cells), constant on each (step, cell); each
+    leading index is one integrand, integrated on its own. The result has
+    shape (...), a float for a 2-D H.
     """
     H = np.asarray(H, dtype=float)
-    if H.shape != (path.n_steps, path.n_cells):
+    if H.shape[-2:] != (path.n_steps, path.n_cells):
         raise NoiseError(
             f"step field shape {H.shape} does not match partition "
-            f"({path.n_steps}, {path.n_cells})"
+            f"(..., {path.n_steps}, {path.n_cells})"
         )
-    total = 0.0
+    total = np.zeros(H.shape[:-2])
     if len(path.jump_times):
         steps = np.minimum(path.step_of(path.jump_times), path.n_steps - 1)
         cells = path.cell_index(path.jump_positions)
-        total += float(np.sum(H[steps, cells] * path.jump_sizes))
+        # contiguous jump values: np.sum then adds each integrand's terms
+        # in the order of the 1-D sum
+        at_jumps = np.ascontiguousarray(H[..., steps, cells])
+        total += np.sum(at_jumps * path.jump_sizes, axis=-1)
     # compensator of the exactly-simulated jumps (zero for symmetric specs)
     m1 = path.spec.m1
     if m1 != 0.0:
         cell_vol = (1.0 / path.cells_per_dim) ** path.dimension
-        total -= m1 * path.dt * cell_vol * float(np.sum(H))
+        total -= m1 * path.dt * cell_vol * np.sum(H, axis=(-2, -1))
     if path.surrogate is not None:
-        total += float(np.sum(H * path.surrogate.full()))
-    return total
+        total += np.sum(H * path.surrogate.full(), axis=(-2, -1))
+    return float(total) if H.ndim == 2 else total
 
 
 # ---- persistence ----

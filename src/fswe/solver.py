@@ -86,24 +86,20 @@ def clamp_radius(N: int, C_inf: float) -> float:
     return C_inf * N
 
 
-def _clamped(f, x: np.ndarray, radius: np.ndarray | None) -> np.ndarray:
-    """f at x clamped to [-radius, radius]; radius None clamps nothing. The
-    constant presets ignore their argument, so they skip the clip."""
-    if radius is None or _ignores_argument(f):
+def _coefficient(f, field, shape: tuple[int, int],
+                 radius: np.ndarray | None) -> np.ndarray:
+    """f at the field clamped to [-radius, radius]; radius None clamps
+    nothing. ``field`` is a callable that returns the field. A coefficient
+    that ignores its argument (_zero, _one) gets read-only zeros of
+    ``shape`` instead, and the field is never built."""
+    if f is _zero or f is _one:
+        return f(np.broadcast_to(0.0, shape))
+    x = field()
+    if radius is None:
         return f(x)
     # np.clip's values, in half its time for per-row radii
     x = np.maximum(x, -radius)
     return f(np.minimum(x, radius, out=x))
-
-
-def _ignores_argument(f) -> bool:
-    return f is _zero or f is _one
-
-
-def _placeholder(shape: tuple[int, int]) -> np.ndarray:
-    """What step passes to a coefficient that ignores its argument instead
-    of a synthesized field: read-only zeros of the field's shape."""
-    return np.broadcast_to(0.0, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +298,10 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     radius None clamps nothing. ``noise`` maps each live surrogate to its
     step-n row (see _draw); a row whose path's surrogate is absent gets no
     surrogate term. Every product is a stack of one-row products, so a row
-    gets the same bytes in any batch, alone included. A coefficient that
-    ignores its argument (the constant presets) gets a placeholder, not a
-    synthesized field.
+    gets the same bytes in any batch, alone included. Every coefficient is
+    evaluated through _coefficient: the grid field is synthesized at most
+    once, for the drift and the compensator, and no field is synthesized
+    for a coefficient that ignores its argument.
     """
     bas = setup.basis
     pair = setup.pair
@@ -315,18 +312,12 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     r = None if radius is None else radius[:, None]
     A, B = state.drift_cos, state.drift_sin
     Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
+    grid = functools.cache(lambda: bas.synthesize(u[:, None])[:, 0])
+    grid_shape = (len(u), bas.grid_size**bas.dimension)
 
-    m1 = groups[0].path.spec.m1
-    need_compensator = m1 != 0.0 and pair.D_sigma != 0.0
-    sigma_free = _ignores_argument(pair.sigma)
-    if pair.D_b != 0.0 or need_compensator:
-        if ((pair.D_b == 0.0 or _ignores_argument(pair.b))
-                and (not need_compensator or sigma_free)):
-            u_grid = _placeholder((len(u), bas.grid_size**bas.dimension))
-        else:
-            u_grid = bas.synthesize(u[:, None])[:, 0]
     if pair.D_b != 0.0:
-        beta = bas.analyze(bas.quad_weights * _clamped(pair.b, u_grid, r))
+        beta = bas.analyze(bas.quad_weights
+                           * _coefficient(pair.b, grid, grid_shape, r))
         A = A + dt * cos_t[n] * beta
         B = B + dt * sin_t[n] * beta
 
@@ -334,9 +325,9 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     spans = [(g, g.jump_bounds[n], g.jump_bounds[n + 1]) for g in groups
              if g.jump_bounds[n + 1] > g.jump_bounds[n]]
     if spans:
-        modes = bas.evaluate_modes(_stacked(
+        modes = bas.evaluate_modes(np.concatenate(
             [g.path.jump_positions[lo:hi] for g, lo, hi in spans]))
-        phase = np.outer(omega, _stacked(
+        phase = np.outer(omega, np.concatenate(
             [g.path.jump_times[lo:hi] for g, lo, hi in spans]))
         cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
         end = 0
@@ -346,19 +337,20 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
             cols = slice(end, end + hi - lo)
             end = cols.stop
             rows = g.rows
-            if sigma_free:
-                u_at_j = _placeholder((len(g.index), hi - lo))
-            else:   # field frozen at t0
-                u_at_j = (u[rows, None]
-                          @ np.ascontiguousarray(modes[:, cols]))[:, 0]
-            w = (_clamped(pair.sigma, u_at_j, None if r is None else r[rows])
-                 * g.path.jump_sizes[lo:hi])[:, :, None]
+            sig = _coefficient(   # field frozen at t0
+                pair.sigma,
+                lambda: (u[rows, None]
+                         @ np.ascontiguousarray(modes[:, cols]))[:, 0],
+                (len(g.index), hi - lo), None if r is None else r[rows])
+            w = (sig * g.path.jump_sizes[lo:hi])[:, :, None]
             Mc[rows] += (np.ascontiguousarray(cos_modes[:, cols]) @ w)[:, :, 0]
             Ms[rows] += (np.ascontiguousarray(sin_modes[:, cols]) @ w)[:, :, 0]
 
-    if need_compensator:
+    m1 = groups[0].path.spec.m1
+    if m1 != 0.0 and pair.D_sigma != 0.0:
         # compensator of asymmetric finite-activity jumps, left-point rule
-        comp = bas.analyze(bas.quad_weights * _clamped(pair.sigma, u_grid, r))
+        comp = bas.analyze(bas.quad_weights
+                           * _coefficient(pair.sigma, grid, grid_shape, r))
         Mc -= m1 * dt * cos_t[n] * comp
         Ms -= m1 * dt * sin_t[n] * comp
 
@@ -371,12 +363,10 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
             rows = np.concatenate([g.index for g in live])
             dW = np.repeat(np.stack([noise[g.path.surrogate] for g in live]),
                            [len(g.index) for g in live], axis=0)
-        if sigma_free:
-            u_cells = _placeholder((sum(len(g.index) for g in live),
-                                    bas.cell_count))
-        else:
-            u_cells = bas.synthesize(u[rows, None], "cells")[:, 0]
-        sig = _clamped(pair.sigma, u_cells, None if r is None else r[rows])
+        sig = _coefficient(
+            pair.sigma, lambda: bas.synthesize(u[rows, None], "cells")[:, 0],
+            (sum(len(g.index) for g in live), bas.cell_count),
+            None if r is None else r[rows])
         proj = bas.analyze(sig * dW, "cells")
         Mc[rows] += cos_t[n] * proj
         Ms[rows] += sin_t[n] * proj
@@ -385,12 +375,6 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
                     mart_sin=Ms, u=u)
     new.u = new.rebuild_u(omega, cos_t[n + 1], sin_t[n + 1])
     return new
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays concatenated along their first axis; one is returned
-    as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 # Float64 values one batched solve may hold: its rows times the grid
@@ -541,14 +525,14 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     cap_reached.
     """
     if K_schedule is not None:
-        for path in paths:
-            if not path.spec.symmetric:
-                raise SolverError(
-                    "the heavy-tailed driver requires a symmetric Levy "
-                    "measure")
-            check_K_schedule(K_schedule, path.spec.cutoff)
-    for path in paths:
-        _check_path(path, setup)
+        # row_groups holds every row to this one measure, and checks every
+        # row's path against the setup at grid index 0, where each row
+        # enters its first level
+        spec = paths[0].spec
+        if not spec.symmetric:
+            raise SolverError(
+                "the heavy-tailed driver requires a symmetric Levy measure")
+        check_K_schedule(K_schedule, spec.cutoff)
     if N_max < 1:
         raise SolverError(f"need N_max >= 1, got {N_max}")
     n_steps, rows, times = setup.n_steps, len(paths), setup.times

@@ -54,6 +54,21 @@ class TestMoments:
         expected = 1.0 * 0.04 / (2.0 - 1.0)
         assert spec.small_jump_variance == pytest.approx(expected)
 
+    @pytest.mark.parametrize("spec", [
+        RADEMACHER, CAUCHY_LIKE,
+        LevyMeasureSpec(variant="atoms", atoms=((1.5, 1.0), (-0.5, 0.5))),
+        LevyMeasureSpec(variant="atoms", atoms=((3.0, 2.0), (-3.0, 0.0))),
+        LevyMeasureSpec(variant="stable", alpha=1.5, cutoff=0.2)])
+    def test_derived_moments_have_one_formula(self, spec):
+        # the rate, surrogate variance and m2 are tail_mass/m2_truncated at
+        # the cutoff and at infinity, for both variants
+        assert spec.jump_rate == spec.tail_mass(spec.cutoff)
+        assert spec.small_jump_variance == spec.m2_truncated(spec.cutoff)
+        assert spec.m2 == spec.m2_truncated(math.inf)
+        if spec.variant == "atoms":
+            assert spec.small_jump_variance == 0.0
+            assert spec.jump_rate == sum(rho for _, rho in spec.atoms)
+
 
 class TestSampling:
     def test_reproducible(self):
@@ -200,6 +215,23 @@ class TestStepIntegral:
         assert integrate_step_field(H, p) == pytest.approx(
             float(np.sum(p.jump_sizes)))
 
+    @pytest.mark.parametrize("spec", [
+        RADEMACHER, CAUCHY_LIKE,
+        LevyMeasureSpec(variant="atoms", atoms=((1.5, 1.0), (-0.5, 0.5)))])
+    def test_stacked_integrands_integrate_one_by_one(self, spec):
+        # a stack of integrands gives each the bytes it has alone, and a
+        # 2-D integrand gives a float
+        p = sample_path(spec, 1.0, 10, 23, cells_per_dim=8)
+        rng = np.random.default_rng(4)
+        H = rng.standard_normal((2, 3, 10, 8))
+        stacked = integrate_step_field(H, p)
+        assert stacked.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                alone = integrate_step_field(H[i, j].copy(), p)
+                assert type(alone) is float
+                assert stacked[i, j] == alone
+
     def test_isometry_small_sample(self):
         # quick version of the second-moment identity: H = 1, expected m2 * T
         R = 20_000
@@ -300,3 +332,7 @@ def test_validation():
         LevyMeasureSpec(variant="stable", alpha=2.5, cutoff=0.01)
     with pytest.raises(NoiseError):
         LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.0)
+    # atoms are simulated exactly, so a cutoff would silently drop mass
+    with pytest.raises(NoiseError, match="cutoff"):
+        LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)),
+                        cutoff=0.5)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _paste_oracle as oracle
+import fswe.basis
 import fswe.solver
 from fswe.basis import build_basis, embedding_constant
 from fswe.noise import (GaussianSurrogate, LevyMeasureSpec, sample_path,
@@ -603,6 +604,75 @@ class TestBatchedPasting:
                  for s in range(8)]
         paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
         assert calls == list(range(setup.n_steps))
+
+
+STABLE = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+
+
+class TestPathChecks:
+    # each bad path breaks one match with setup_for(basis, ...): 50 steps on
+    # [0, 1], d=1, one surrogate cell per grid interval (256)
+    @pytest.mark.parametrize("T,n_steps,cells,dimension,msg", [
+        (1.0, 50, 256, 2, "dimension"),
+        (1.0, 40, 256, 1, "partition"),
+        (2.0, 50, 256, 1, "partition"),
+        (1.0, 50, 128, 1, "surrogate cells")])
+    @pytest.mark.parametrize("solve", ["solve_rows", "paste_over_N",
+                                       "paste_over_K"])
+    def test_every_row_is_checked(self, basis, T, n_steps, cells, dimension,
+                                  msg, solve):
+        # the bad path is the last row of a batch whose first rows match
+        setup = setup_for(basis, "wave")
+        good = sample_path(STABLE, 1.0, 50, 2, cells_per_dim=256)
+        bad = sample_path(STABLE, T, n_steps, 1, cells_per_dim=cells,
+                          dimension=dimension)
+        with pytest.raises(SolverError, match=msg):
+            if solve == "solve_rows":
+                solve_rows([good, good, bad], setup, None)
+            else:
+                paste_rows([good, good, bad], setup,
+                           None if solve == "paste_over_N"
+                           else (1.0, 2.0, 4.0), N_max=3)
+
+
+class TestCoefficientRule:
+    """step synthesizes the grid field at most once, shared by the drift
+    and the compensator, and no field for a coefficient that ignores its
+    argument."""
+
+    @pytest.fixture
+    def synthesized(self, monkeypatch):
+        calls = []
+        synthesize = fswe.basis.EigenBasis.synthesize
+
+        def counted(self, u, where="grid"):
+            calls.append(where)
+            return synthesize(self, u, where)
+
+        monkeypatch.setattr(fswe.basis.EigenBasis, "synthesize", counted)
+        return calls
+
+    def _paste(self, basis, preset, spec, K_schedule):
+        setup = setup_for(basis, preset, n_steps=30)
+        paths = [sample_path(spec, 1.0, 30, s,
+                             cells_per_dim=basis.grid_size - 1)
+                 for s in range(3)]
+        return paste_rows(paths, setup, K_schedule, N_max=3)
+
+    def test_constant_preset_synthesizes_nothing(self, basis, synthesized):
+        pasted = self._paste(basis, "constant", STABLE, (1.0, 2.0, 4.0))
+        assert synthesized == []
+        assert any(len(t.stopping.tau_by_K) > 1 for t in pasted)
+
+    def test_compensator_shares_the_grid_field(self, basis, synthesized):
+        # b and sigma both read the field, and the compensator runs
+        assert ASYMMETRIC.m1 != 0.0
+        self._paste(basis, "linear", ASYMMETRIC, None)
+        assert synthesized == ["grid"] * 30
+
+    def test_surrogate_synthesizes_the_cells(self, basis, synthesized):
+        self._paste(basis, "linear", STABLE, (1.0, 2.0, 4.0))
+        assert synthesized == ["grid", "cells"] * 30
 
 
 class TestEmbeddingInteraction:

@@ -227,6 +227,21 @@ class TestBoundSuites:
                                    base_seed=3)
         assert chunked.to_dict() == whole.to_dict()
 
+    def test_d1_moment_diagnostic_matches_the_whole_history(self,
+                                                            monkeypatch):
+        # d=1 takes the same chunked rule: a 1031-time history is two
+        # chunks, and the report has the bytes of the whole-history np.mean
+        setup = make_setup(build_basis(1, 16), 2.0, 1.0, 1.0, 1030, WAVE)
+        assert len(fswe.solver.row_blocks(setup, setup.n_steps + 1)) == 2
+        chunked = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=2,
+                                     base_seed=3)
+        monkeypatch.setattr(
+            fswe.verify, "_time_mean_square",
+            lambda setup, c: np.mean(setup.basis.synthesize(c) ** 2, axis=0))
+        whole = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=2,
+                                   base_seed=3)
+        assert chunked.to_dict() == whole.to_dict()
+
     def test_verdicts_cite_inputs(self, setup):
         rep = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=20,
                                  base_seed=5)
@@ -318,8 +333,9 @@ class TestConsistencySuite:
             taus.append(traj_N.stopping.tau_by_N[1])
             upto = (setup.n_steps + 1 if math.isinf(taus[-1])
                     else int(round(taus[-1] / dt)))
-            counts[0] += np.array_equal(traj_N.coeffs[:upto],
-                                        traj_N1.coeffs[:upto])
+            # up to and including tau_N's grid index
+            counts[0] += np.array_equal(traj_N.coeffs[:upto + 1],
+                                        traj_N1.coeffs[:upto + 1])
             cut = int(rng.integers(1, setup.n_steps))
             traj_cut = solve_truncated(2, zero_after(path, cut * dt), setup)
             counts[1] += np.array_equal(traj_N1.coeffs[:cut + 1],
@@ -341,6 +357,32 @@ class TestConsistencySuite:
         assert any(math.isfinite(t) for t in taus)
         assert [v.observed for v in rep.verdicts] == counts
         assert counts[0] < n and counts[2] < n
+
+    def test_N_coupling_covers_tau_N(self, setup, monkeypatch):
+        # a level-(N+1) row that differs from level N only at tau_N's grid
+        # index breaks the identity paste_rows relies on: the verdict must
+        # fail, though every index before tau_N agrees
+        solve_rows = fswe.verify.solve_rows
+        hit = []
+
+        def perturbed(paths, setup, radius, keep=slice(0)):
+            norms, histories = solve_rows(paths, setup, radius, keep)
+            at = np.searchsorted(setup.times, fswe.solver.stop_times(
+                setup.times, norms[::3], [1] * (len(paths) // 3)))
+            for row, n in zip(histories[1::3], at):
+                if n <= setup.n_steps:
+                    row[n] = np.nextafter(row[n], np.inf)
+                    hit.append(n)
+            return norms, histories
+
+        name = "(N, N+1) coupling bit-exact up to and including tau_N"
+        rep = consistency_suite(setup, PM3, n_seeds=6, base_seed=41)
+        assert _verdict(rep, name).passed
+        monkeypatch.setattr(fswe.verify, "solve_rows", perturbed)
+        rep = consistency_suite(setup, PM3, n_seeds=6, base_seed=41)
+        assert hit
+        assert _verdict(rep, name).observed == 6 - len(hit)
+        assert not _verdict(rep, name).passed
 
     def test_report_serializes(self, setup):
         rep = consistency_suite(setup, RADEMACHER, n_seeds=3, base_seed=8)
