@@ -46,10 +46,13 @@ class EigenBasis:
     @property
     def grid_points(self) -> np.ndarray:
         """All quadrature nodes, shape (n_nodes, d)."""
-        g = self.grid_1d
+        return self._box_points(self.grid_1d)
+
+    def _box_points(self, x: np.ndarray) -> np.ndarray:
+        """The points with coordinates x on every axis, shape (len(x)**d, d)."""
         if self.dimension == 1:
-            return g[:, None]
-        xx, yy = np.meshgrid(g, g, indexing="ij")
+            return x[:, None]
+        xx, yy = np.meshgrid(x, x, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     @property
@@ -58,7 +61,7 @@ class EigenBasis:
 
         Built once per basis and returned read-only."""
         if "weights" not in self._grid_cache:
-            h = 1.0 / (self.grid_size - 1)
+            h = 1.0 / self.cells_per_dim
             w = np.full(self.grid_size, h)
             w[0] = w[-1] = h / 2.0
             if self.dimension == 2:
@@ -70,7 +73,8 @@ class EigenBasis:
     def evaluate_modes(self, points: np.ndarray) -> np.ndarray:
         """Values e_k(x) for all modes, shape (M, n_points).
 
-        points: (n_points, d) array inside the closed unit box.
+        points: (n_points, d) array inside the closed unit box. In d=1 this
+        is sine_table itself, in d=2 the product of its rows k1 and k2.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dimension:
@@ -79,13 +83,11 @@ class EigenBasis:
             )
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise BasisError("points must lie in the closed unit box")
-        ks = self.multi_indices  # (M, d)
-        vals = np.ones((self.mode_count, len(pts)))
-        for axis in range(self.dimension):
-            vals *= math.sqrt(2.0) * np.sin(
-                np.pi * np.outer(ks[:, axis], pts[:, axis])
-            )
-        return vals
+        if self.dimension == 1:
+            return sine_table(self.kmax, pts[:, 0])
+        i1, i2 = self._pair_index
+        return (sine_table(self.kmax, pts[:, 0])[i1]
+                * sine_table(self.kmax, pts[:, 1])[i2])
 
     # quadrature weights and the 1-D sine tables on nodes and cell centres
     _grid_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -105,11 +107,10 @@ class EigenBasis:
         (where="grid") or cell centres (where="cells"); in d=1 this is the
         full mode table."""
         if where not in self._grid_cache:
-            g = self.grid_1d
             if where == "grid":
-                x = g
+                x = self.grid_1d
             elif where == "cells":
-                x = 0.5 * (g[:-1] + g[1:])
+                x = self.cell_centers_1d
             else:
                 raise BasisError(f"unknown location {where!r}")
             table = sine_table(self.kmax, x)
@@ -158,17 +159,23 @@ class EigenBasis:
     # ---- cells (between grid nodes), used for the Gaussian noise surrogate ----
 
     @property
+    def cells_per_dim(self) -> int:
+        """One surrogate cell per grid interval."""
+        return self.grid_size - 1
+
+    @property
     def cell_count(self) -> int:
-        return (self.grid_size - 1) ** self.dimension
+        return self.cells_per_dim ** self.dimension
+
+    @property
+    def cell_centers_1d(self) -> np.ndarray:
+        """Midpoints of the cells_per_dim cells of [0, 1]."""
+        g = self.grid_1d
+        return 0.5 * (g[:-1] + g[1:])
 
     @property
     def cell_centers(self) -> np.ndarray:
-        g = self.grid_1d
-        c = 0.5 * (g[:-1] + g[1:])
-        if self.dimension == 1:
-            return c[:, None]
-        xx, yy = np.meshgrid(c, c, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return self._box_points(self.cell_centers_1d)
 
 
 def sine_table(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -194,7 +201,6 @@ def build_basis(d: int, M: int, grid_size: int | None = None) -> EigenBasis:
         ks = np.arange(1, M + 1)
         lams = (ks * np.pi) ** 2
         indices = ks[:, None]
-        kmax = M
     else:
         # enumerate a lattice square guaranteed to contain the M smallest modes
         R = int(math.ceil(math.sqrt(2.0 * M))) + 2
@@ -203,11 +209,10 @@ def build_basis(d: int, M: int, grid_size: int | None = None) -> EigenBasis:
         pairs = np.column_stack([k1.ravel(), k2.ravel()])
         lam_all = (pairs[:, 0] ** 2 + pairs[:, 1] ** 2) * np.pi**2
         order = np.lexsort((pairs[:, 1], pairs[:, 0], lam_all))
-        pairs = pairs[order][:M]
+        indices = pairs[order][:M]
         lams = lam_all[order][:M]
-        indices = pairs
-        kmax = int(indices.max())
 
+    kmax = int(indices.max())
     if grid_size is None:
         grid_size = max(4 * kmax + 1, DEFAULT_MIN_GRID)
     if grid_size < 4 * kmax + 1:

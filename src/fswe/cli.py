@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +37,6 @@ from . import verify as verify_mod
 
 class ConfigError(ValueError):
     pass
-
-
-_TOP_KEYS = {"dimension", "modes", "gamma", "r", "T", "n_steps",
-             "coefficients", "noise", "grid_size", "N_max", "K_schedule"}
-_NOISE_KEYS = {"variant", "atoms", "alpha", "cutoff"}
 
 
 @dataclass
@@ -85,9 +79,9 @@ class RunConfig:
                           COEFFICIENT_PRESETS[self.coefficients])
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("dimension", "modes", "gamma", "r", "T", "n_steps",
-              "coefficients", "grid_size", "N_max", "K_schedule")}
+        """The config keys in field order, with noise, normalized, last."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "noise"}
         d["noise"] = spec_to_dict(self.levy_spec())
         return d
 
@@ -101,13 +95,13 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     noise = raw.get("noise", {})
     if not isinstance(noise, dict):
         raise ConfigError("noise must be a JSON object")
-    bad = set(noise) - _NOISE_KEYS
+    bad = set(noise) - {f.name for f in fields(LevyMeasureSpec)}
     if bad:
         raise ConfigError(f"unknown noise keys: {sorted(bad)}")
     return RunConfig(**raw)
@@ -142,26 +136,29 @@ def _stopping_dict(traj: Trajectory) -> dict:
 
 def write_summary(path: Path, config: RunConfig, seed: int,
                   trajectories: dict, runtime: float) -> None:
-    payload = {
+    _write_json(path, {
         "config": config.to_dict(),
         "seed": seed,
         "runtime_seconds": runtime,
         "trajectories": {name: _stopping_dict(t)
                          for name, t in trajectories.items()},
-    }
+    })
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Every JSON artifact. json writes an infinite float as Infinity,
+    which Python reads but RFC 8259 JSON does not allow."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_inf)
+        json.dump(payload, fh, indent=2, default=_json_numpy)
         fh.write("\n")
 
 
-def _json_inf(obj):
+def _json_numpy(obj):
+    """numpy bools and integers as Python ones; json handles floats."""
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return "inf" if math.isinf(v) else v
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
@@ -172,9 +169,9 @@ _NEEDS_K_SCHEDULE = "infinite-variance noise requires a K_schedule for pasting"
 
 
 def _sample(config: RunConfig, basis: EigenBasis, seed: int) -> NoisePath:
-    """The noise path of seed: one surrogate cell per grid interval."""
+    """The noise path of seed, on the basis's surrogate cells."""
     return sample_path(config.levy_spec(), config.T, config.n_steps, seed,
-                       cells_per_dim=basis.grid_size - 1,
+                       cells_per_dim=basis.cells_per_dim,
                        dimension=config.dimension)
 
 
@@ -303,9 +300,7 @@ def cmd_verify(config: RunConfig, seed: int, out: Path, replicas: int,
     for v in report.verdicts:
         print(v)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, default=_json_inf)
-        fh.write("\n")
+    _write_json(out / "report.json", report.to_dict())
     return 0 if report.passed else 1
 
 
@@ -333,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0 <= args.seed < 2**64:
-        print("error: --seed must fit in an unsigned 64-bit integer",
-              file=sys.stderr)
-        return 2
     try:
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
+        if args.command in ("ensemble", "verify") and args.replicas < 1:
+            raise ConfigError("--replicas must be >= 1")
         config = (parse_config(args.config) if args.config is not None
                   else RunConfig())
         if args.command == "simulate":

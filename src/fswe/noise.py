@@ -147,23 +147,19 @@ class GaussianSurrogate:
         """Number of values drawn for the whole path."""
         return self.shape[0] * self.shape[1]
 
-    def _generator(self) -> np.random.Generator:
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = self.state
-        return rng
-
     def rows(self) -> Iterator[np.ndarray]:
         """The increments of steps 0 .. live_steps - 1, one (n_cells,) row
         per step, each drawn when it is asked for."""
-        rng = self._generator()
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = self.state
         for _ in range(self.live_steps):
             yield self.std * rng.standard_normal(self.shape[1])
 
     def full(self) -> np.ndarray:
-        """The whole (n_steps, n_cells) array, zero from live_steps on."""
+        """The whole (n_steps, n_cells) array of rows(), zero after them."""
         out = np.zeros(self.shape)
-        out[:self.live_steps] = self.std * self._generator().standard_normal(
-            (self.live_steps, self.shape[1]))
+        for n, row in enumerate(self.rows()):
+            out[n] = row
         return out
 
 
@@ -220,6 +216,13 @@ class NoisePath:
             return idx[:, 0]
         return idx[:, 0] * self.cells_per_dim + idx[:, 1]
 
+    def keep_jumps(self, keep: np.ndarray, **changes) -> "NoisePath":
+        """This path with only the jumps where ``keep`` is True, and
+        ``changes`` to its other fields."""
+        return replace(self, jump_times=self.jump_times[keep],
+                       jump_positions=self.jump_positions[keep],
+                       jump_sizes=self.jump_sizes[keep], **changes)
+
 
 def sample_path(spec: LevyMeasureSpec, T: float, n_steps: int, seed: int,
                 cells_per_dim: int = 256, dimension: int = 1,
@@ -273,11 +276,7 @@ def truncate(path: NoisePath, K: float) -> NoisePath:
             f"truncation level {K} below the simulation cutoff {path.spec.cutoff}"
         )
     keep = np.abs(path.jump_sizes) <= K
-    if keep.all():
-        return path
-    return replace(path, jump_times=path.jump_times[keep],
-                   jump_positions=path.jump_positions[keep],
-                   jump_sizes=path.jump_sizes[keep])
+    return path if keep.all() else path.keep_jumps(keep)
 
 
 def first_large_jump(path: NoisePath, K: float) -> float:
@@ -297,9 +296,7 @@ def zero_after(path: NoisePath, t_cut: float) -> NoisePath:
         n_first = int(np.searchsorted(path.step_edges, t_cut, side="left"))
         surrogate = replace(surrogate,
                             live_steps=min(surrogate.live_steps, n_first))
-    return replace(path, jump_times=path.jump_times[keep],
-                   jump_positions=path.jump_positions[keep],
-                   jump_sizes=path.jump_sizes[keep], surrogate=surrogate)
+    return path.keep_jumps(keep, surrogate=surrogate)
 
 
 def integrate_step_field(H: np.ndarray,

@@ -87,16 +87,15 @@ def clamp_radius(N: int, C_inf: float) -> float:
 
 
 def _coefficient(f, field, shape: tuple[int, int],
-                 radius: np.ndarray | None) -> np.ndarray:
-    """f at the field clamped to [-radius, radius]; radius None clamps
-    nothing. ``field`` is a callable that returns the field. A coefficient
-    that ignores its argument (_zero, _one) gets read-only zeros of
-    ``shape`` instead, and the field is never built."""
+                 radius: np.ndarray) -> np.ndarray:
+    """f at the field clamped to [-radius, radius]; radius inf leaves every
+    float unchanged, inf and NaN included. ``field`` is a callable that
+    returns the field. A coefficient that ignores its argument (_zero,
+    _one) gets read-only zeros of ``shape`` instead, and the field is never
+    built."""
     if f is _zero or f is _one:
         return f(np.broadcast_to(0.0, shape))
     x = field()
-    if radius is None:
-        return f(x)
     # np.clip's values, in half its time for per-row radii
     x = np.maximum(x, -radius)
     return f(np.minimum(x, radius, out=x))
@@ -229,7 +228,7 @@ def _check_path(path: NoisePath, setup: SolveSetup) -> None:
         raise SolverError("path dimension does not match the basis")
     if path.n_steps != setup.n_steps or abs(path.T - setup.T) > 1e-12:
         raise SolverError("path partition does not match the solver partition")
-    if path.surrogate is not None and path.cells_per_dim != b.grid_size - 1:
+    if path.surrogate is not None and path.cells_per_dim != b.cells_per_dim:
         raise SolverError("path surrogate cells do not match the quadrature grid")
 
 
@@ -250,6 +249,8 @@ def row_groups(paths: Sequence[NoisePath],
     Rows given the same path object share a group. Every path must match
     the setup, and all of them one Levy measure.
     """
+    if not paths:
+        raise SolverError("a batch needs at least one path")
     rows_of: dict[int, tuple[NoisePath, list[int]]] = {}
     for i, path in enumerate(paths):
         rows_of.setdefault(id(path), (path, []))[1].append(i)
@@ -289,13 +290,13 @@ def _draw(streams: dict) -> dict:
 
 
 def step(state: ModeState, groups: Sequence[RowGroup], n: int,
-         setup: SolveSetup, radius: np.ndarray | None,
+         setup: SolveSetup, radius: np.ndarray,
          noise: dict) -> ModeState:
     """Advance every row one step [n dt, (n+1) dt) with left-point evaluation.
 
     The state arrays have shape (rows, M), and each group's path drives the
-    group's rows. Row i clamps the argument of b and sigma at +-radius[i];
-    radius None clamps nothing. ``noise`` maps each live surrogate to its
+    group's rows. Row i clamps the argument of b and sigma at +-radius[i]
+    (inf: not at all). ``noise`` maps each live surrogate to its
     step-n row (see _draw); a row whose path's surrogate is absent gets no
     surrogate term. Every product is a stack of one-row products, so a row
     gets the same bytes in any batch, alone included. Every coefficient is
@@ -309,7 +310,7 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     dt = setup.dt
     cos_t, sin_t = setup.phases
     u = state.u
-    r = None if radius is None else radius[:, None]
+    r = radius[:, None]
     A, B = state.drift_cos, state.drift_sin
     Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
     grid = functools.cache(lambda: bas.synthesize(u[:, None])[:, 0])
@@ -341,7 +342,7 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
                 pair.sigma,
                 lambda: (u[rows, None]
                          @ np.ascontiguousarray(modes[:, cols]))[:, 0],
-                (len(g.index), hi - lo), None if r is None else r[rows])
+                (len(g.index), hi - lo), r[rows])
             w = (sig * g.path.jump_sizes[lo:hi])[:, :, None]
             Mc[rows] += (np.ascontiguousarray(cos_modes[:, cols]) @ w)[:, :, 0]
             Ms[rows] += (np.ascontiguousarray(sin_modes[:, cols]) @ w)[:, :, 0]
@@ -365,8 +366,7 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
                            [len(g.index) for g in live], axis=0)
         sig = _coefficient(
             pair.sigma, lambda: bas.synthesize(u[rows, None], "cells")[:, 0],
-            (sum(len(g.index) for g in live), bas.cell_count),
-            None if r is None else r[rows])
+            (sum(len(g.index) for g in live), bas.cell_count), r[rows])
         proj = bas.analyze(sig * dW, "cells")
         Mc[rows] += cos_t[n] * proj
         Ms[rows] += sin_t[n] * proj
@@ -400,7 +400,7 @@ def solve_rows(paths: Sequence[NoisePath], setup: SolveSetup,
                keep: slice = slice(0)) -> tuple[np.ndarray, np.ndarray]:
     """Solve a batch of rows from zero over the whole grid, one step call
     per grid step: row i is driven by paths[i] and clamped at radius[i]
-    (radius None clamps no row).
+    (radius None clamps no row: every radius is inf).
 
     Returns the H_r norms, shape (rows, n_steps + 1), and the coefficient
     histories of the rows that ``keep`` selects, shape
@@ -409,6 +409,8 @@ def solve_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     groups = row_groups(paths, setup)
     streams = _open_streams(paths)
     rows = len(paths)
+    if radius is None:
+        radius = np.full(rows, np.inf)
     M = setup.basis.mode_count
     state = ModeState.zero((rows, M))
     norms = np.zeros((rows, setup.n_steps + 1))
@@ -430,6 +432,13 @@ class StoppingRecord:
     tau_by_K: dict = field(default_factory=dict)       # K -> first large jump
     cap_reached: bool = False
 
+    def stop_N(self, N: int, tau: float, dt: float) -> None:
+        """Record tau_N and, when it is finite, its step bracket
+        (max(tau - dt, 0), tau)."""
+        self.tau_by_N[N] = tau
+        if math.isfinite(tau):
+            self.tau_brackets[N] = (max(tau - dt, 0.0), tau)
+
 
 @dataclass
 class Trajectory:
@@ -441,13 +450,11 @@ class Trajectory:
     stopping: StoppingRecord
 
 
-def _run(path: NoisePath, setup: SolveSetup,
-         radius: float | None) -> Trajectory:
-    """One row of the batched kernel: path clamped at radius (None: not at
+def _run(path: NoisePath, setup: SolveSetup, radius: float) -> Trajectory:
+    """One row of the batched kernel: path clamped at radius (inf: not at
     all)."""
-    norms, coeffs = solve_rows(
-        [path], setup, None if radius is None else np.array([radius]),
-        keep=slice(None))
+    norms, coeffs = solve_rows([path], setup, np.array([radius]),
+                               keep=slice(None))
     return Trajectory(times=setup.times, hr_norms=norms[0], coeffs=coeffs[0],
                       active_N=np.zeros(len(setup.times), dtype=int),
                       active_K=np.full(len(setup.times), math.inf),
@@ -456,7 +463,7 @@ def _run(path: NoisePath, setup: SolveSetup,
 
 def solve_untruncated(path: NoisePath, setup: SolveSetup) -> Trajectory:
     """Solve with the raw coefficient pair (linear/additive oracles)."""
-    return _run(path, setup, None)
+    return _run(path, setup, math.inf)
 
 
 def stop_times(times: np.ndarray, norms: np.ndarray,
@@ -477,15 +484,12 @@ def solve_truncated(N: int, path: NoisePath, setup: SolveSetup) -> Trajectory:
     """Solve with coefficients clamped at +-C_inf*N and record tau_N."""
     traj = _run(path, setup, clamp_radius(N, setup.C_inf))
     traj.active_N[:] = N
-    tau = detect_stop(traj, N)
-    traj.stopping.tau_by_N[N] = tau
-    if math.isfinite(tau):
-        traj.stopping.tau_brackets[N] = (max(tau - setup.dt, 0.0), tau)
+    traj.stopping.stop_N(N, detect_stop(traj, N), setup.dt)
     return traj
 
 
 def _K_entries(path: NoisePath, times: np.ndarray,
-               K_schedule: tuple[float, ...],
+               K_schedule: Sequence[float],
                record: StoppingRecord) -> tuple[list, bool]:
     """The K levels a path enters, as (grid index, K, truncated path) in
     order, and whether the last one's tau^K is finite.
@@ -524,6 +528,8 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     finite tau^K of the last K, a row stays at that level and is
     cap_reached.
     """
+    if not paths:
+        raise SolverError("a batch needs at least one path")
     if K_schedule is not None:
         # row_groups holds every row to this one measure, and checks every
         # row's path against the setup at grid index 0, where each row
@@ -544,9 +550,10 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     entering: dict[int, list] = {}   # grid index -> (row, K, driving path)
     capped_K = []
     for i, (path, record) in enumerate(zip(paths, records)):
-        entries, capped = _K_entries(
-            path, times, (math.inf,) if K_schedule is None
-            else tuple(K_schedule), record)
+        if K_schedule is None:  # over N alone: one level, entered at 0
+            entries, capped = [(0, math.inf, path)], False
+        else:
+            entries, capped = _K_entries(path, times, K_schedule, record)
         for at, K, driver in entries:
             entering.setdefault(at, []).append((i, K, driver))
         capped_K.append(capped)
@@ -569,9 +576,8 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
         for i in np.flatnonzero(over) if over.any() else ():
             record = records[i]
             while not record.cap_reached and norms[i, n] > level_N[i]:
-                N, tau = int(level_N[i]), float(times[n])
-                record.tau_by_N[N] = tau
-                record.tau_brackets[N] = (max(tau - setup.dt, 0.0), tau)
+                N = int(level_N[i])
+                record.stop_N(N, float(times[n]), setup.dt)
                 if N == N_max:
                     record.cap_reached = True
                 else:
@@ -583,8 +589,6 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     for i, record in enumerate(records):
         record.tau_by_N.setdefault(int(level_N[i]), math.inf)
         record.cap_reached = record.cap_reached or capped_K[i]
-        if K_schedule is None:
-            record.tau_by_K.clear()  # pasting over N alone keeps no K record
         trajectories.append(Trajectory(
             times=times, hr_norms=norms[i], coeffs=coeffs[i],
             active_N=active_N[i], active_K=active_K[i], stopping=record))

@@ -11,7 +11,7 @@ vacuous passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +39,10 @@ def replica_seed(base: int, index: int) -> int:
 def _replica_paths(spec: LevyMeasureSpec, setup: SolveSetup, base_seed: int,
                    block: range) -> list[NoisePath]:
     """The block's noise paths, in order: replica i draws from seed
-    replica_seed(base_seed, i), with one surrogate cell per grid interval."""
+    replica_seed(base_seed, i), with the basis's surrogate cells."""
     return [sample_path(spec, setup.T, setup.n_steps,
                         replica_seed(base_seed, i),
-                        cells_per_dim=setup.basis.grid_size - 1,
+                        cells_per_dim=setup.basis.cells_per_dim,
                         dimension=setup.basis.dimension)
             for i in block]
 
@@ -245,6 +245,7 @@ def _bound_inputs(setup: SolveSetup, spec: LevyMeasureSpec) -> dict:
         "T": setup.T, "D_b": setup.pair.D_b, "D_sigma": setup.pair.D_sigma,
         "m2": spec.m2, "C_inf": setup.C_inf,
         "lambda_sum": lambda_power_sum(setup.basis, setup.r - setup.gamma),
+        "lambda_tail": lambda_power_tail(setup.basis, setup.r - setup.gamma),
     }
 
 
@@ -381,10 +382,7 @@ def _level_K1_path(spath: NoisePath, K: float, corrupt: bool) -> NoisePath:
     if not corrupt:
         return path
     z = np.abs(path.jump_sizes)
-    keep = (z <= K / 2.0) | (z > K)
-    return replace(path, jump_times=path.jump_times[keep],
-                   jump_positions=path.jump_positions[keep],
-                   jump_sizes=path.jump_sizes[keep])
+    return path.keep_jumps((z <= K / 2.0) | (z > K))
 
 
 def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,

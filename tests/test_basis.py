@@ -74,6 +74,26 @@ class TestOrthonormality:
         assert vals[0, 0] == pytest.approx(math.sqrt(2) * math.sin(math.pi / 4))
 
 
+@pytest.mark.parametrize("d,M", [(1, 8), (1, 16), (1, 128), (2, 5),
+                                 (2, 9), (2, 64), (2, 100)])
+def test_evaluate_modes_is_the_sine_product(d, M):
+    # e_k(x) = prod over the axes of sqrt(2) sin(k_axis pi x_axis), written
+    # out per axis here, bit for bit, box corners included
+    basis = build_basis(d, M)
+    rng = np.random.default_rng(M)
+    pts = np.vstack([rng.uniform(0.0, 1.0, size=(40, d)),
+                     np.zeros((1, d)), np.ones((1, d))])
+    expected = np.ones((M, len(pts)))
+    for axis in range(d):
+        expected *= math.sqrt(2.0) * np.sin(
+            np.pi * np.outer(basis.multi_indices[:, axis], pts[:, axis]))
+    assert basis.evaluate_modes(pts).tobytes() == expected.tobytes()
+    with pytest.raises(BasisError, match="unit box"):
+        basis.evaluate_modes(np.full((1, d), 1.5))
+    with pytest.raises(BasisError, match="dimension"):
+        basis.evaluate_modes(np.zeros((1, 3 - d)))
+
+
 def _rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 

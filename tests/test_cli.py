@@ -193,6 +193,43 @@ class TestCommands:
             assert all(t.stopping.tau_by_N for t in trajs)
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("replicas", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["ensemble"] + list(cli_mod._SUITES))
+    def test_replicas_below_one_rejected(self, tmp_path, capsys, replicas,
+                                         command):
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg), "--out", str(out),
+                "--replicas", replicas]
+        argv += ["ensemble"] if command == "ensemble" \
+            else ["--suite", command, "verify"]
+        assert main(argv) == 2
+        assert "--replicas must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path / "x"), "--seed", str(2**64),
+                   "simulate"])
+        assert rc == 2
+        assert ("error: --seed must fit in an unsigned 64-bit integer"
+                in capsys.readouterr().err)
+
+    def test_summary_keys_and_infinity(self, tmp_path):
+        # config keys in field order with noise last; a tau never reached
+        # is Python json's Infinity token
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--seed", "3",
+                     "--out", str(out), "simulate"]) == 0
+        text = (out / "summary.json").read_text()
+        summary = json.loads(text)
+        assert list(summary["config"]) == [
+            "dimension", "modes", "gamma", "r", "T", "n_steps",
+            "coefficients", "grid_size", "N_max", "K_schedule", "noise"]
+        taus = summary["trajectories"]["trajectory"]["tau_by_N"]
+        assert list(taus.values())[-1] == float("inf")
+        assert ": Infinity" in text and '"inf"' not in text
+
     def test_verify_consistency_uses_config_noise(self, tmp_path):
         payload = dict(BASE, noise={"variant": "stable", "alpha": 1.5,
                                     "cutoff": 0.02},

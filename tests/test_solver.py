@@ -20,6 +20,8 @@ from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
 ASYMMETRIC = LevyMeasureSpec(variant="atoms", atoms=((1.5, 1.0), (-0.5, 0.5)))
+# atoms +-3 at rate 2 each: tau_1 is finite on most paths
+PM3 = LevyMeasureSpec(variant="atoms", atoms=((3.0, 2.0), (-3.0, 2.0)))
 # multiplicative pair with sigma(0) != 0, so zero initial data still moves
 WAVE = CoefficientPair(np.sin, np.cos, 1.0, 1.0, "wave")
 
@@ -324,6 +326,33 @@ def _n_record(traj, N_max, dt):
     return tau_by_N, brackets
 
 
+# Random (d, M, grid, preset, noise, seed) configs: M applies in d=1, where
+# the grid is the default; d=2 has M=9 on the drawn grid.
+CONFIG_DRAWS = dict(
+    d=st.sampled_from([1, 2]), M=st.sampled_from([8, 16]),
+    grid=st.integers(17, 37),
+    preset=st.sampled_from(sorted(COEFFICIENT_PRESETS) + ["wave"]),
+    noise=st.sampled_from(["rademacher", "asymmetric", "pm3", 0.8, 1.0,
+                           1.5]),
+    seed=st.integers(0, 2**32 - 1))
+
+
+def drawn_config(d, M, grid, preset, noise, seed, gamma=None, r=None):
+    """The setup (30 steps on [0, 1]) and noise path of a drawn config;
+    gamma and r default to (2, 1) in d=1 and (3, 1.5) in d=2."""
+    basis = build_basis(2, 9, grid_size=grid) if d == 2 \
+        else build_basis(1, M)
+    if gamma is None:
+        gamma, r = (3.0, 1.5) if d == 2 else (2.0, 1.0)
+    pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
+    setup = make_setup(basis, gamma, r, 1.0, 30, pair)
+    spec = {"rademacher": RADEMACHER, "asymmetric": ASYMMETRIC,
+            "pm3": PM3}.get(noise) or LevyMeasureSpec(
+                variant="stable", alpha=noise, cutoff=0.01)
+    return setup, sample_path(spec, 1.0, 30, seed,
+                              cells_per_dim=basis.grid_size - 1, dimension=d)
+
+
 def _assert_same_pasting(new, old):
     for name in ("times", "coeffs", "hr_norms", "active_N", "active_K"):
         a, b = getattr(new, name), getattr(old, name)
@@ -335,11 +364,7 @@ class TestOnePassPasting:
     """The one-pass pasting against the level-by-level oracle in
     tests/_paste_oracle.py, which solves every level again from t=0."""
 
-    @given(d=st.sampled_from([1, 2]), M=st.sampled_from([8, 16]),
-           grid=st.integers(17, 37),
-           preset=st.sampled_from(sorted(COEFFICIENT_PRESETS) + ["wave"]),
-           noise=st.sampled_from(["rademacher", "asymmetric", 0.8, 1.0, 1.5]),
-           N_max=st.sampled_from([1, 2, 8]), seed=st.integers(0, 2**32 - 1))
+    @given(**CONFIG_DRAWS, N_max=st.sampled_from([1, 2, 8]))
     @settings(max_examples=30, deadline=None)
     # at tau_1 this path's norm is 1.36 and its sup exceeds the level-1
     # clamp radius C_inf, so a pass that switches to the level-2 clamp one
@@ -347,17 +372,8 @@ class TestOnePassPasting:
     @example(d=1, M=8, grid=17, preset="wave", noise=1.5, N_max=2, seed=17)
     def test_matches_level_by_level_oracle(self, d, M, grid, preset, noise,
                                            N_max, seed):
-        basis = build_basis(2, 9, grid_size=grid) if d == 2 \
-            else build_basis(1, M)
-        gamma, r = (3.0, 1.5) if d == 2 else (2.0, 1.0)
-        pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
-        setup = make_setup(basis, gamma, r, 1.0, 30, pair)
-        spec = {"rademacher": RADEMACHER, "asymmetric": ASYMMETRIC}.get(
-            noise) or LevyMeasureSpec(variant="stable", alpha=noise,
-                                      cutoff=0.01)
-        path = sample_path(spec, 1.0, 30, seed,
-                           cells_per_dim=basis.grid_size - 1, dimension=d)
-        if spec.variant == "stable":
+        setup, path = drawn_config(d, M, grid, preset, noise, seed)
+        if path.spec.variant == "stable":
             new = paste_over_K(path, setup, N_max=N_max)
             old = oracle.paste_over_K(path, setup, N_max=N_max)
             # the oracle records no N levels when it pastes over K
@@ -397,6 +413,37 @@ class TestOnePassPasting:
         traj = paste_over_N(path, setup)
         assert traj.active_N.max() >= 3
         assert calls == list(range(setup.n_steps))
+
+
+class TestCouplingProperties:
+    """The identities pasting and consistency_suite rely on, over drawn
+    (d, M, gamma, r, preset, noise) configs, each level solved on its own:
+    levels N and N+1 agree bitwise up to and including tau_N's grid index,
+    and zeroing the noise after a cut leaves the past bit-identical."""
+
+    @given(**CONFIG_DRAWS, excess=st.sampled_from([0.5, 1.0, 2.0]),
+           r_frac=st.sampled_from([0.25, 0.5, 0.75]),
+           N=st.sampled_from([1, 2]), cut=st.integers(1, 29))
+    @settings(max_examples=25, deadline=None)
+    # tau_1 is finite on this path (see TestOnePassPasting's example)
+    @example(d=1, M=8, grid=17, preset="wave", noise=1.5, seed=17,
+             excess=1.0, r_frac=0.5, N=1, cut=12)
+    def test_N_coupling_and_localization(self, d, M, grid, preset, noise,
+                                         seed, excess, r_frac, N, cut):
+        # gamma = d + excess and d/2 < r < gamma - d/2
+        setup, path = drawn_config(d, M, grid, preset, noise, seed,
+                                   gamma=d + excess,
+                                   r=d / 2.0 + r_frac * excess)
+        level_N = solve_truncated(N, path, setup)
+        level_N1 = solve_truncated(N + 1, path, setup)
+        cut_N1 = solve_truncated(N + 1, zero_after(path, cut * setup.dt),
+                                 setup)
+        tau = level_N.stopping.tau_by_N[N]
+        upto = int(np.searchsorted(setup.times, tau)) + 1
+        assert (level_N.coeffs[:upto].tobytes()
+                == level_N1.coeffs[:upto].tobytes())
+        assert (level_N1.coeffs[:cut + 1].tobytes()
+                == cut_N1.coeffs[:cut + 1].tobytes())
 
 
 class TestBatchedRows:
@@ -452,6 +499,29 @@ class TestBatchedRows:
             ref = solve_untruncated(paths[k // 4], setup)
             assert coeffs[i].tobytes() == ref.coeffs.tobytes(), i
             assert norms[i].tobytes() == ref.hr_norms.tobytes(), i
+
+    def test_unclamped_row_in_a_clamped_batch(self, basis):
+        # radius inf is the unclamped row: its bytes are solve_untruncated's,
+        # while the same path clamped at C_inf in the same batch differs
+        setup = setup_for(basis, "wave")
+        paths = [path_for(basis, s, spec=PM3) for s in (0, 1)]
+        radius = np.array([clamp_radius(2, setup.C_inf), math.inf,
+                           clamp_radius(1, setup.C_inf)])
+        norms, coeffs = solve_rows([paths[0], paths[1], paths[1]], setup,
+                                   radius, keep=slice(None))
+        alone = solve_untruncated(paths[1], setup)
+        assert coeffs[1].tobytes() == alone.coeffs.tobytes()
+        assert norms[1].tobytes() == alone.hr_norms.tobytes()
+        assert not np.array_equal(coeffs[2], coeffs[1])
+
+    @pytest.mark.parametrize("solve", [
+        lambda setup: paste_rows([], setup),
+        lambda setup: paste_rows([], setup, (1.0, 2.0)),
+        lambda setup: solve_rows([], setup, None)],
+        ids=["paste_over_N", "paste_over_K", "solve_rows"])
+    def test_empty_batch(self, basis, solve):
+        with pytest.raises(SolverError, match="at least one path"):
+            solve(setup_for(basis, "wave"))
 
     def test_rows_share_one_measure(self, basis):
         setup = setup_for(basis, "wave")

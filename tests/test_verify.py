@@ -10,8 +10,8 @@ import fswe.verify
 from fswe.basis import build_basis
 from fswe.noise import (LevyMeasureSpec, first_large_jump, sample_path,
                         truncate, zero_after)
-from fswe.solver import (CoefficientPair, make_setup, paste_over_N,
-                         solve_truncated)
+from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, make_setup,
+                         paste_over_N, solve_truncated)
 from fswe.verify import (additive_linear_suite, check_moment_bound,
                          check_tail_bound, consistency_suite, hatC,
                          isometry_suite, mode_variance_closed_form,
@@ -241,6 +241,36 @@ class TestBoundSuites:
         whole = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=2,
                                    base_seed=3)
         assert chunked.to_dict() == whole.to_dict()
+
+    @pytest.mark.parametrize("d,M,gamma,r,preset", [
+        (1, 16, 2.0, 1.0, "linear"), (2, 64, 3.0, 1.5, "linear"),
+        (1, 8, 2.0, 1.0, "wave")])
+    def test_references_rebuild_from_their_inputs(self, d, M, gamma, r,
+                                                  preset):
+        # hatC = 4 (T D_b^2 + 16 m2 D_sigma^2) (lambda_sum + lambda_tail),
+        # the moment reference T hatC exp(T hatC C_inf^2), the tail one
+        # that over N^2: each from the verdict's own inputs alone
+        pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
+        basis = build_basis(d, M, grid_size=37 if d == 2 else None)
+        setup = make_setup(basis, gamma, r, 1.0, 10, pair)
+        reports = [check_moment_bound(setup, RADEMACHER, R=2),
+                   check_tail_bound(setup, RADEMACHER, R=2)]
+        checked = 0
+        for report in reports:
+            for v in report.verdicts:
+                if not v.name.startswith(("moment bound", "tail bound")):
+                    continue
+                i = v.inputs
+                c = (4.0 * (i["T"] * i["D_b"]**2
+                            + 16.0 * i["m2"] * i["D_sigma"]**2)
+                     * (i["lambda_sum"] + i["lambda_tail"]))
+                bound = i["T"] * c * math.exp(i["T"] * c * i["C_inf"]**2)
+                N = int(v.name.rsplit("=", 1)[1])
+                if v.name.startswith("tail"):
+                    bound /= N**2
+                assert v.reference == pytest.approx(bound, rel=1e-12)
+                checked += 1
+        assert checked == 9
 
     def test_verdicts_cite_inputs(self, setup):
         rep = check_moment_bound(setup, RADEMACHER, N_values=(1,), R=20,
