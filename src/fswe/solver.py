@@ -86,15 +86,18 @@ def clamp_radius(N: int, C_inf: float) -> float:
     return C_inf * N
 
 
-def _coefficient(f, field, shape: tuple[int, int],
-                 radius: np.ndarray) -> np.ndarray:
+# the value of each coefficient that ignores its argument
+_CONSTANTS = {f: float(f(0.0)) for f in (_zero, _one)}
+
+
+def _coefficient(f, field, radius: np.ndarray) -> np.ndarray | float:
     """f at the field clamped to [-radius, radius]; radius inf leaves every
     float unchanged, inf and NaN included. ``field`` is a callable that
     returns the field. A coefficient that ignores its argument (_zero,
-    _one) gets read-only zeros of ``shape`` instead, and the field is never
-    built."""
+    _one) is its value as a Python float, which broadcasts against any
+    operand; the field is never built and no array is made."""
     if f is _zero or f is _one:
-        return f(np.broadcast_to(0.0, shape))
+        return _CONSTANTS[f]
     x = field()
     # np.clip's values, in half its time for per-row radii
     x = np.maximum(x, -radius)
@@ -162,6 +165,28 @@ class SolveSetup:
         times = np.linspace(0.0, self.T, self.n_steps + 1)
         times.flags.writeable = False
         return times
+
+    def _constant_projection(self, f) -> np.ndarray | None:
+        """analyze(quad_weights * f), shape (M,) and read-only, when f
+        ignores its argument (_zero, _one); None otherwise."""
+        if f is not _zero and f is not _one:
+            return None
+        projection = self.basis.analyze(self.basis.quad_weights
+                                        * _CONSTANTS[f])
+        projection.flags.writeable = False
+        return projection
+
+    @functools.cached_property
+    def drift_projection(self) -> np.ndarray | None:
+        """The drift's projection when b ignores the state, computed once
+        per setup: every row of every step gets these bytes."""
+        return self._constant_projection(self.pair.b)
+
+    @functools.cached_property
+    def compensator_projection(self) -> np.ndarray | None:
+        """The compensator's projection when sigma ignores the state,
+        computed once per setup like drift_projection."""
+        return self._constant_projection(self.pair.sigma)
 
     @functools.cached_property
     def phases(self) -> tuple[np.ndarray, np.ndarray]:
@@ -299,10 +324,18 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     (inf: not at all). ``noise`` maps each live surrogate to its
     step-n row (see _draw); a row whose path's surrogate is absent gets no
     surrogate term. Every product is a stack of one-row products, so a row
-    gets the same bytes in any batch, alone included. Every coefficient is
-    evaluated through _coefficient: the grid field is synthesized at most
-    once, for the drift and the compensator, and no field is synthesized
-    for a coefficient that ignores its argument.
+    gets the same bytes in any batch, alone included.
+
+    Every coefficient is evaluated through _coefficient: the grid field is
+    synthesized at most once, for the drift and the compensator, and no
+    field is synthesized for a coefficient that ignores its argument. Such
+    a coefficient's drift or compensator projection is the setup's
+    drift_projection or compensator_projection, computed once per setup.
+    The groups with jumps in the step are bucketed by (jump count, rows per
+    group): each bucket evaluates sigma at its jumps and scatters them into
+    Mc and Ms with one stacked product each, whose items are the one-row
+    products a row gets alone, a group's jump tables broadcast over its
+    rows.
     """
     bas = setup.basis
     pair = setup.pair
@@ -314,44 +347,66 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     A, B = state.drift_cos, state.drift_sin
     Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
     grid = functools.cache(lambda: bas.synthesize(u[:, None])[:, 0])
-    grid_shape = (len(u), bas.grid_size**bas.dimension)
+
+    def projection(f, constant):
+        if constant is not None:
+            return constant
+        return bas.analyze(bas.quad_weights * _coefficient(f, grid, r))
 
     if pair.D_b != 0.0:
-        beta = bas.analyze(bas.quad_weights
-                           * _coefficient(pair.b, grid, grid_shape, r))
+        beta = projection(pair.b, setup.drift_projection)
         A = A + dt * cos_t[n] * beta
         B = B + dt * sin_t[n] * beta
 
-    # the step's jumps of every group, with one mode and phase table
-    spans = [(g, g.jump_bounds[n], g.jump_bounds[n + 1]) for g in groups
-             if g.jump_bounds[n + 1] > g.jump_bounds[n]]
-    if spans:
+    # the step's jumps of every group, bucketed by (jump count, rows)
+    buckets: dict[tuple[int, int], list] = {}
+    for g in groups:
+        lo, hi = g.jump_bounds[n], g.jump_bounds[n + 1]
+        if hi > lo:
+            buckets.setdefault((hi - lo, len(g.index)), []).append(
+                (g, lo, hi))
+    if buckets:
+        # one mode and phase table for every jump, a bucket's columns
+        # consecutive and group by group
+        spans = [span for bucket in buckets.values() for span in bucket]
         modes = bas.evaluate_modes(np.concatenate(
             [g.path.jump_positions[lo:hi] for g, lo, hi in spans]))
         phase = np.outer(omega, np.concatenate(
             [g.path.jump_times[lo:hi] for g, lo, hi in spans]))
         cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
         end = 0
-        for g, lo, hi in spans:
-            # each group's own contiguous columns: a strided operand can
-            # change a product's bytes
-            cols = slice(end, end + hi - lo)
+        M = bas.mode_count
+        for (J, k), bucket in buckets.items():
+            G = len(bucket)
+            cols = slice(end, end + J * G)
             end = cols.stop
-            rows = g.rows
-            sig = _coefficient(   # field frozen at t0
+
+            def blocks(table):
+                # (groups, 1, M, J): each group's own contiguous (M, J)
+                # block, as a strided operand can change a product's bytes
+                return np.ascontiguousarray(
+                    table[:, cols].reshape(M, G, J).transpose(1, 0, 2))[:, None]
+
+            # the bucket's rows, group by group; a lone group indexes its
+            # rows as a view when they are contiguous, not by a gather
+            rows = (bucket[0][0].rows if G == 1
+                    else np.concatenate([g.index for g, _, _ in bucket]))
+            sig = _coefficient(   # field frozen at t0, shape (rows, J)
                 pair.sigma,
-                lambda: (u[rows, None]
-                         @ np.ascontiguousarray(modes[:, cols]))[:, 0],
-                (len(g.index), hi - lo), r[rows])
-            w = (sig * g.path.jump_sizes[lo:hi])[:, :, None]
-            Mc[rows] += (np.ascontiguousarray(cos_modes[:, cols]) @ w)[:, :, 0]
-            Ms[rows] += (np.ascontiguousarray(sin_modes[:, cols]) @ w)[:, :, 0]
+                lambda: (u[rows].reshape(G, k, 1, M)
+                         @ blocks(modes)).reshape(-1, J),
+                r[rows])
+            sizes = np.concatenate(
+                [g.path.jump_sizes[lo:hi] for g, lo, hi in bucket])
+            w = (sig * np.repeat(sizes.reshape(G, J), k, axis=0)
+                 ).reshape(G, k, J, 1)
+            Mc[rows] += (blocks(cos_modes) @ w).reshape(-1, M)
+            Ms[rows] += (blocks(sin_modes) @ w).reshape(-1, M)
 
     m1 = groups[0].path.spec.m1
     if m1 != 0.0 and pair.D_sigma != 0.0:
         # compensator of asymmetric finite-activity jumps, left-point rule
-        comp = bas.analyze(bas.quad_weights
-                           * _coefficient(pair.sigma, grid, grid_shape, r))
+        comp = projection(pair.sigma, setup.compensator_projection)
         Mc -= m1 * dt * cos_t[n] * comp
         Ms -= m1 * dt * sin_t[n] * comp
 
@@ -366,7 +421,7 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
                            [len(g.index) for g in live], axis=0)
         sig = _coefficient(
             pair.sigma, lambda: bas.synthesize(u[rows, None], "cells")[:, 0],
-            (sum(len(g.index) for g in live), bas.cell_count), r[rows])
+            r[rows])
         proj = bas.analyze(sig * dW, "cells")
         Mc[rows] += cos_t[n] * proj
         Ms[rows] += sin_t[n] * proj

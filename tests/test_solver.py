@@ -745,6 +745,165 @@ class TestCoefficientRule:
         assert synthesized == ["grid", "cells"] * 30
 
 
+def _jump_step(d, preset, shapes, seed=3, n=2):
+    """A state and one step n whose groups have shapes[i] = (jump count,
+    rows) each, the rows of the groups interleaved, random accumulators and
+    a mix of clamped and unclamped rows. Returns (setup, state, rows' paths,
+    radius, stepped state)."""
+    basis = build_basis(d, 8 if d == 1 else 12)
+    pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
+    setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 4, pair)
+    rng = np.random.default_rng(seed)
+    base = sample_path(RADEMACHER, 1.0, 4, 0,
+                       cells_per_dim=basis.cells_per_dim, dimension=d)
+    row_paths = []
+    for J, k in shapes:
+        times = np.sort(rng.uniform(n * setup.dt, (n + 1) * setup.dt, J))
+        row_paths += [dataclasses.replace(
+            base, jump_times=times,
+            jump_positions=rng.uniform(0.05, 0.95, (J, d)),
+            jump_sizes=rng.choice([-1.0, 1.0], J) * rng.uniform(0.5, 2.0, J))
+        ] * k
+    row_paths = [row_paths[i] for i in rng.permutation(len(row_paths))]
+    rows, M = len(row_paths), basis.mode_count
+    state = ModeState(n * setup.dt, *rng.normal(size=(5, rows, M)))
+    radius = np.where(rng.uniform(size=rows) < 0.5, np.inf,
+                      clamp_radius(1, setup.C_inf) * 0.05)
+    new = step(state, row_groups(row_paths, setup), n, setup, radius, {})
+    return setup, state, row_paths, radius, new
+
+
+class TestJumpScatter:
+    """step scatters the jumps of a bucket of groups, one (jump count, rows
+    per group) pair, with one stacked product, and every row keeps the
+    bytes of its own one-row products."""
+
+    SHAPES = [(J, k) for J in (1, 2, 3) for k in (1, 3, 5)] + [(2, 3), (3, 5)]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("preset", ["wave", "linear"])
+    def test_rows_keep_their_one_row_products(self, d, preset):
+        setup, state, row_paths, radius, new = _jump_step(d, preset,
+                                                          self.SHAPES)
+        n, Mc, Ms = 2, state.mart_cos.copy(), state.mart_sin.copy()
+        clamped = False
+        for i, path in enumerate(row_paths):
+            lo, hi = path.jump_bounds()[n:n + 2]
+            assert hi - lo == len(path.jump_times)
+            modes = setup.basis.evaluate_modes(path.jump_positions[lo:hi])
+            phase = np.outer(setup.omega, path.jump_times[lo:hi])
+            cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
+            cols = slice(0, hi - lo)
+            x = state.u[i] @ np.ascontiguousarray(modes[:, cols])
+            clamped |= bool(np.any(np.abs(x) > radius[i]))
+            x = np.minimum(np.maximum(x, -radius[i]), radius[i])
+            w = setup.pair.sigma(x) * path.jump_sizes[lo:hi]
+            Mc[i] += np.ascontiguousarray(cos_modes[:, cols]) @ w
+            Ms[i] += np.ascontiguousarray(sin_modes[:, cols]) @ w
+        assert new.mart_cos.tobytes() == Mc.tobytes()
+        assert new.mart_sin.tobytes() == Ms.tobytes()
+        # the clamp and the jumps both did work, beside unclamped rows
+        assert clamped and np.any(np.isinf(radius))
+        assert not np.array_equal(Mc, state.mart_cos)
+
+    @pytest.mark.parametrize("shapes, buckets", [
+        ([(1, 1)] * 16, 1),
+        ([(1, 1)] * 8 + [(2, 1)] * 8, 2),
+        ([(1, 1), (1, 3), (2, 1), (2, 3)] * 4, 4),
+    ])
+    def test_sigma_evaluated_once_per_bucket(self, monkeypatch, shapes,
+                                             buckets):
+        seen = []
+        coefficient = fswe.solver._coefficient
+
+        def counted(f, field, radius):
+            seen.append(f)
+            return coefficient(f, field, radius)
+
+        monkeypatch.setattr(fswe.solver, "_coefficient", counted)
+        _jump_step(1, "wave", shapes)
+        # the drift reads b = sin once; symmetric atoms: no compensator
+        assert seen.count(np.sin) == 1
+        assert seen.count(np.cos) == buckets
+
+
+class TestConstantProjections:
+    """A coefficient that ignores its argument has a state-independent
+    projection, computed once per setup and cached on it."""
+
+    @staticmethod
+    def fresh(setup, f, rows=3):
+        # the stacked per-row projection of the coefficient's values
+        basis = setup.basis
+        points = basis.grid_size ** basis.dimension
+        return basis.analyze(basis.quad_weights * f(np.zeros((rows, points))))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("preset", ["constant", "drift_only", "additive"])
+    def test_cached_projections_are_fresh_analyze(self, d, preset):
+        basis = build_basis(d, 8 if d == 1 else 12)
+        setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 10,
+                           COEFFICIENT_PRESETS[preset])
+        for cached, f in ((setup.drift_projection, setup.pair.b),
+                          (setup.compensator_projection, setup.pair.sigma)):
+            assert cached.shape == (basis.mode_count,)
+            assert not cached.flags.writeable
+            for row in self.fresh(setup, f):
+                assert cached.tobytes() == row.tobytes()
+        assert setup.drift_projection is setup.drift_projection
+
+    def test_non_constant_coefficient_has_none(self, basis):
+        setup = setup_for(basis, "wave")
+        assert setup.drift_projection is None
+        assert setup.compensator_projection is None
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_steps_use_the_cache(self, d, monkeypatch):
+        # constant pair, asymmetric atoms: the drift and the compensator
+        # run on every step, and each projects the grid once per setup
+        basis = build_basis(d, 8 if d == 1 else 12)
+        setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 30,
+                           COEFFICIENT_PRESETS["constant"])
+        assert ASYMMETRIC.m1 != 0.0
+        paths = [sample_path(ASYMMETRIC, 1.0, 30, s, dimension=d,
+                             cells_per_dim=basis.cells_per_dim)
+                 for s in range(3)]
+        grid_projections = []
+        analyze = fswe.basis.EigenBasis.analyze
+
+        def counted(self, v, where="grid"):
+            grid_projections.append(where)
+            return analyze(self, v, where)
+
+        monkeypatch.setattr(fswe.basis.EigenBasis, "analyze", counted)
+        first = paste_rows(paths, setup, None, N_max=3)
+        again = paste_rows(paths, setup, None, N_max=3)
+        assert grid_projections == ["grid", "grid"]
+        for a, b in zip(first, again):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert np.any(a.coeffs != 0.0)
+
+    def test_setups_on_different_bases_never_share(self):
+        pair = COEFFICIENT_PRESETS["constant"]
+        setups = [make_setup(build_basis(d, M), 1.0 + d, 0.5 + d / 2.0,
+                             1.0, 10, pair)
+                  for d, M in ((1, 16), (1, 128), (2, 16), (2, 64))]
+        for setup in setups:
+            for cached in (setup.drift_projection,
+                           setup.compensator_projection):
+                assert cached.shape == (setup.basis.mode_count,)
+                assert cached.tobytes() == self.fresh(setup, pair.b,
+                                                      1)[0].tobytes()
+        # a setup made right after another is freed, often at its address,
+        # projects on its own basis
+        bases = [build_basis(1, M) for M in (16, 128)]
+        for i in range(20):
+            setup = make_setup(bases[i % 2], 2.0, 1.0, 1.0, 10, pair,
+                               C_inf=1.0)
+            assert setup.drift_projection.shape == (bases[i % 2].mode_count,)
+            del setup
+
+
 class TestEmbeddingInteraction:
     def test_setup_uses_embedding_constant(self, basis):
         setup = setup_for(basis, "wave")
