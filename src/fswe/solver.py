@@ -314,6 +314,35 @@ def _draw(streams: dict) -> dict:
     return rows
 
 
+_EVERY_ROW = slice(None), slice(None)
+
+
+def _field_rows(u: np.ndarray, radius: np.ndarray) -> tuple:
+    """The rows of u to evaluate the grid field on, and each row's item
+    among them: (rows, item), with row i reading item[i].
+
+    The rows bitwise equal to the first all-zero row, sign of every zero
+    included, share that row's item when their radius is > 0: equal bytes
+    give equal field bytes, and clamping a +-0 field at a radius > 0, inf
+    included, changes nothing. Every other row is its own item, and when
+    fewer than two rows would share, every row is evaluated in place.
+    """
+    positive = radius > 0
+    zero = ~u.any(axis=1) & positive
+    first = int(zero.argmax())
+    if not zero[first]:
+        return _EVERY_ROW
+    bits = u.view(np.int64)   # the float64 bytes, -0.0 apart from +0.0
+    shared = (bits == bits[first]).all(axis=1) & positive
+    if np.count_nonzero(shared) < 2:
+        return _EVERY_ROW
+    keep = ~shared
+    keep[first] = True
+    item = np.cumsum(keep) - 1
+    item[shared] = item[first]
+    return np.flatnonzero(keep), item
+
+
 def step(state: ModeState, groups: Sequence[RowGroup], n: int,
          setup: SolveSetup, radius: np.ndarray,
          noise: dict) -> ModeState:
@@ -331,11 +360,18 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     field is synthesized for a coefficient that ignores its argument. Such
     a coefficient's drift or compensator projection is the setup's
     drift_projection or compensator_projection, computed once per setup.
-    The groups with jumps in the step are bucketed by (jump count, rows per
-    group): each bucket evaluates sigma at its jumps and scatters them into
-    Mc and Ms with one stacked product each, whose items are the one-row
-    products a row gets alone, a group's jump tables broadcast over its
-    rows.
+    On first request the grid field is split by _field_rows: the rows
+    whose u is all zero and bitwise equal to the first such row's, as
+    every row is until its path's first jump when b(0) = 0, share that
+    row's synthesis, clamp, coefficient and projection, and each reads
+    that row's bytes, which are the bytes it computes alone. Nothing else
+    is shared: a row that is not zero, identical levels of one path
+    included, is evaluated on its own, and a zero row has norm 0, so no
+    tau_N rests on the sharing. The groups with jumps in the step are
+    bucketed by (jump count, rows per group): each bucket evaluates sigma
+    at its jumps and scatters them into Mc and Ms with one stacked product
+    each, whose items are the one-row products a row gets alone, a group's
+    jump tables broadcast over its rows.
     """
     bas = setup.basis
     pair = setup.pair
@@ -346,12 +382,16 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     r = radius[:, None]
     A, B = state.drift_cos, state.drift_sin
     Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
-    grid = functools.cache(lambda: bas.synthesize(u[:, None])[:, 0])
+    split = functools.cache(lambda: _field_rows(u, radius))
+    grid = functools.cache(
+        lambda: bas.synthesize(u[split()[0], None])[:, 0])
 
     def projection(f, constant):
         if constant is not None:
             return constant
-        return bas.analyze(bas.quad_weights * _coefficient(f, grid, r))
+        rows, item = split()
+        return bas.analyze(bas.quad_weights
+                           * _coefficient(f, grid, r[rows]))[item]
 
     if pair.D_b != 0.0:
         beta = projection(pair.b, setup.drift_projection)

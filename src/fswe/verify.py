@@ -167,6 +167,9 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
     row has the bytes solve_untruncated gives it, and the sums run in
     replica order.
     """
+    if not spec.has_finite_variance:
+        raise ValueError("the additive closed form needs a finite-variance "
+                         "measure")
     setup = make_setup(basis, gamma, r, T, n_steps,
                        COEFFICIENT_PRESETS["additive"])
     m2 = spec.m2 * (2.0 if corrupt else 1.0)
@@ -307,8 +310,11 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     Each replica's path is drawn once, and a block of replicas solves all
     its (replica, N) rows with one step call per grid step. Every row has
     the bytes solve_truncated(N, path, setup) gives it: each level is
-    solved from t=0 on its own row, none is derived from another, so the
-    monotonicity verdict still tests the coupling.
+    solved from t=0 on its own row, and no row's state is derived from
+    another's, so the monotonicity verdict still tests the coupling. The
+    one thing rows share is step's grid field of the rows whose state is
+    all zero (see solver._field_rows); such a row has norm 0, so it never
+    carries a tau_N, and every row that can is evaluated on its own.
     """
     bound_base = moment_growth_bound(setup, spec.m2)
     if corrupt:

@@ -257,6 +257,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "infinite-variance noise requires a K_schedule" in err
 
+    def test_verify_additive_rejects_infinite_variance(self, tmp_path,
+                                                        capsys):
+        # the closed form needs m2 < inf, as the isometry and moment
+        # suites do: a config error, and no report
+        payload = dict(BASE, coefficients="linear",
+                       noise={"variant": "stable", "alpha": 1.5,
+                              "cutoff": 0.02},
+                       K_schedule=[0.5, 2.0])
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "ver"
+        rc = main(["--config", str(cfg), "--seed", "7", "--out", str(out),
+                   "--replicas", "4", "--suite", "additive", "verify"])
+        assert rc == 2
+        assert "finite-variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_suite_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE)
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"),

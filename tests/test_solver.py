@@ -106,6 +106,22 @@ class TestCoefficients:
         np.testing.assert_array_equal(seen["sigma"], at_jump)
 
 
+def _recording(pair):
+    """pair with b and sigma wrapped to record a copy of every argument;
+    returns (recording pair, {"b": [...], "sigma": [...]})."""
+    seen = {"b": [], "sigma": []}
+
+    def recorded(name, f):
+        def g(x):
+            seen[name].append(np.array(x))
+            return f(x)
+        return g
+
+    return (CoefficientPair(recorded("b", pair.b),
+                            recorded("sigma", pair.sigma),
+                            pair.D_b, pair.D_sigma, pair.name), seen)
+
+
 def _kernel_arguments(pair, peaks, N, C_inf):
     """One kernel step on rows of a one-mode d=1 field, row i peaking at
     peaks[i] at x = 1/2, where the path's one jump sits, each row clamped
@@ -113,18 +129,8 @@ def _kernel_arguments(pair, peaks, N, C_inf):
     and the arguments the kernel passed to b (on the grid) and to sigma (at
     the jump)."""
     basis = build_basis(1, 1)
-    seen = {}
-
-    def recorded(name, f):
-        def g(x):
-            seen[name] = np.array(x)
-            return f(x)
-        return g
-
-    setup = make_setup(basis, 2.0, 1.0, 1.0, 1,
-                       CoefficientPair(recorded("b", pair.b),
-                                       recorded("sigma", pair.sigma),
-                                       1.0, 1.0), C_inf=C_inf)
+    recording, seen = _recording(pair)
+    setup = make_setup(basis, 2.0, 1.0, 1.0, 1, recording, C_inf=C_inf)
     state = ModeState.zero((len(peaks), 1))
     # sqrt(2) sin(pi x) is sqrt(2) at x = 1/2
     state.u = np.asarray(peaks, dtype=float)[:, None] / math.sqrt(2.0)
@@ -133,7 +139,8 @@ def _kernel_arguments(pair, peaks, N, C_inf):
         jump_positions=np.full((1, 1), 0.5), jump_sizes=np.ones(1))
     radius = np.full(len(peaks), clamp_radius(N, C_inf))
     step(state, row_groups([path] * len(peaks), setup), 0, setup, radius, {})
-    return basis.synthesize(state.u), seen
+    return basis.synthesize(state.u), {name: calls[-1]
+                                       for name, calls in seen.items()}
 
 
 class TestModeState:
@@ -902,6 +909,142 @@ class TestConstantProjections:
                                C_inf=1.0)
             assert setup.drift_projection.shape == (bases[i % 2].mode_count,)
             del setup
+
+
+def _field_step(d, preset, spec, u, radius, seed=5, n=2):
+    """One step n of the rows u, shape (rows, M), on one path of spec with
+    two jumps in the step and random accumulators, and the same step of
+    each row alone. Returns (batch state, lone states, recorded arguments
+    of the batch step)."""
+    basis = build_basis(d, 8 if d == 1 else 12)
+    pair, seen = _recording(WAVE if preset == "wave"
+                            else COEFFICIENT_PRESETS[preset])
+    setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 4, pair)
+    rng = np.random.default_rng(seed)
+    path = dataclasses.replace(
+        sample_path(spec, 1.0, 4, 0, cells_per_dim=basis.cells_per_dim,
+                    dimension=d),
+        jump_times=np.sort(rng.uniform(n * setup.dt, (n + 1) * setup.dt, 2)),
+        jump_positions=rng.uniform(0.05, 0.95, (2, d)),
+        jump_sizes=np.array([1.5, -0.5]))
+    accumulators = rng.normal(size=(4,) + u.shape)
+    state = ModeState(n * setup.dt, *accumulators, u=u)
+    new = step(state, row_groups([path] * len(u), setup), n, setup, radius,
+               {})
+    arguments = {name: list(calls) for name, calls in seen.items()}
+    lone = [step(ModeState(n * setup.dt, *accumulators[:, i:i + 1],
+                           u=u[i:i + 1]),
+                 row_groups([path], setup), n, setup, radius[i:i + 1], {})
+            for i in range(len(u))]
+    return new, lone, arguments
+
+
+class TestZeroRowField:
+    """The rows whose u is all zero and bitwise equal to the first such
+    row share one grid-field evaluation per step, and every row keeps the
+    bytes it computes alone; no other row is shared."""
+
+    CASES = [("wave", RADEMACHER), ("wave", ASYMMETRIC), ("sine", ASYMMETRIC)]
+
+    @staticmethod
+    def rows(M, rng):
+        """Zero rows among nonzero ones, and a zero row with a -0.0."""
+        negative_zero = np.zeros(M)
+        negative_zero[0] = -0.0
+        u = np.zeros((8, M))
+        u[[1, 4]] = rng.normal(size=(2, M))
+        u[6] = negative_zero
+        return u
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("preset, spec", CASES)
+    def test_rows_keep_their_lone_step_bytes(self, d, preset, spec):
+        M = 8 if d == 1 else 12
+        u = self.rows(M, np.random.default_rng(d))
+        radius = np.array([np.inf, 0.05, 2.0, 0.05, np.inf, np.inf, 0.5,
+                           3.0])
+        new, lone, arguments = _field_step(d, preset, spec, u, radius)
+        for name in ("drift_cos", "drift_sin", "mart_cos", "mart_sin", "u"):
+            batch = getattr(new, name)
+            for i, alone in enumerate(lone):
+                alone = getattr(alone, name)[0]
+                assert batch[i].tobytes() == alone.tobytes(), (name, i)
+        # the zero rows 0, 2, 3, 5 and 7 share one field; the nonzero rows
+        # 1 and 4 and the -0.0 row 6 are their own
+        assert [len(x) for x in arguments["b"]] == [4]
+        if spec.m1 != 0.0:   # the compensator reads the same split field
+            assert len(arguments["sigma"][-1]) == 4
+
+    # from zero data: wave rows are zero until their path's first jump,
+    # sine rows (b(0) = sigma(0) = 0) stay zero, the compensator included
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("preset, spec", [CASES[0], CASES[2]])
+    def test_rows_keep_their_lone_solve_bytes(self, d, preset, spec):
+        if d == 2:
+            basis = build_basis(2, 9, grid_size=21)
+            gamma, r = 3.0, 1.5
+        else:
+            basis, gamma, r = build_basis(1, 16), 2.0, 1.0
+        pair = WAVE if preset == "wave" else COEFFICIENT_PRESETS[preset]
+        setup = make_setup(basis, gamma, r, 1.0, 20, pair)
+        paths = [sample_path(spec, 1.0, 20, s, dimension=d,
+                             cells_per_dim=basis.cells_per_dim)
+                 for s in range(6)]
+        levels = [clamp_radius(1, setup.C_inf), math.inf,
+                  clamp_radius(2, setup.C_inf)]
+        rows = [(p, level) for p in paths for level in levels]
+        radius = np.array([level for _, level in rows])
+        norms, coeffs = solve_rows([p for p, _ in rows], setup, radius,
+                                   keep=slice(None))
+        for i, (path, level) in enumerate(rows):
+            lone_norms, lone_coeffs = solve_rows(
+                [path], setup, np.array([level]), keep=slice(None))
+            assert coeffs[i].tobytes() == lone_coeffs[0].tobytes(), i
+            assert norms[i].tobytes() == lone_norms[0].tobytes(), i
+        zero = ~coeffs.any(axis=2)   # (rows, times)
+        assert np.any(zero.sum(axis=0) >= 2)
+        if preset == "wave":
+            # zero and nonzero rows in one step
+            assert np.any((zero.sum(axis=0) >= 2) & ~zero.all(axis=0))
+
+    def test_other_zero_patterns_and_denormals_are_not_shared(self):
+        M = 8
+        u = np.zeros((7, M))
+        u[2, 3] = -0.0
+        u[4, 0] = 5e-324
+        # a NaN radius makes a NaN field of a zero row, which it must keep
+        radius = np.array([np.inf] * 6 + [np.nan])
+        new, lone, arguments = _field_step(1, "wave", ASYMMETRIC, u, radius)
+        # rows 0, 1, 3 and 5 share; the -0.0 row, the denormal row and the
+        # NaN-radius row do not
+        [b_argument] = arguments["b"]
+        assert len(b_argument) == 4
+        assert np.signbit(u[2]).any() and not np.signbit(u[0]).any()
+        for i, alone in enumerate(lone):
+            assert new.mart_cos[i].tobytes() == alone.mart_cos[0].tobytes()
+            assert new.drift_cos[i].tobytes() == alone.drift_cos[0].tobytes()
+        assert np.isnan(new.mart_cos[6]).all()
+
+    def test_every_level_reaches_b_after_the_first_jump(self):
+        # one path at four levels: its rows are bitwise equal until a clamp
+        # binds, yet only the zero rows before the first jump share a field
+        basis = build_basis(1, 16)
+        pair, seen = _recording(WAVE)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 40, pair)
+        path = next(p for p in (path_for(basis, s, n_steps=40)
+                                for s in range(50))
+                    if 0.2 < p.jump_times[:1].sum() < 0.8)
+        # the step that holds the first jump
+        first = int(path.jump_bounds().searchsorted(1)) - 1
+        radius = np.array([clamp_radius(N, setup.C_inf) for N in (1, 2, 8)]
+                          + [math.inf])
+        solve_rows([path] * 4, setup, radius)
+        rows = [len(x) for x in seen["b"]]
+        assert rows == [1] * (first + 1) + [4] * (40 - first - 1)
+        # right after the jump, the four levels are still bitwise equal
+        after = seen["b"][first + 1]
+        assert all(row.tobytes() == after[0].tobytes() for row in after)
+        assert np.any(after[0] != 0.0)
 
 
 class TestEmbeddingInteraction:

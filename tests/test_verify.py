@@ -93,6 +93,10 @@ class TestAdditiveSuite:
                                     base_seed=2, n_steps=20, corrupt=True)
         assert not rep.passed
 
+    def test_rejects_infinite_variance(self):
+        with pytest.raises(ValueError, match="finite-variance"):
+            additive_linear_suite(build_basis(1, 4), 2.0, 1.0, STABLE, R=10)
+
 
     def test_report_does_not_depend_on_block_size(self, monkeypatch):
         # one block of 40 replicas against blocks of 7, each replica
