@@ -194,12 +194,14 @@ class NoisePath:
 
     @functools.cached_property
     def step_edges(self) -> np.ndarray:
-        """Step boundaries n dt, n = 0..n_steps; step n is the half-open
-        interval [n dt, (n+1) dt)."""
-        return np.arange(self.n_steps + 1) * self.dt
+        """Step boundaries n dt, n = 0..n_steps, the last one exactly T
+        (the rule of SolveSetup.times), so every jump time in [0, T) lies
+        in one step, the half-open [step_edges[n], step_edges[n+1])."""
+        return np.linspace(0.0, self.T, self.n_steps + 1)
 
     def step_of(self, times: np.ndarray) -> np.ndarray:
-        """Index n of the step with n dt <= t < (n+1) dt for each time."""
+        """Index n of the step with step_edges[n] <= t < step_edges[n+1]
+        for each time."""
         return np.searchsorted(self.step_edges, times, side="right") - 1
 
     def jump_bounds(self) -> np.ndarray:

@@ -11,6 +11,7 @@ vacuous passes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +37,24 @@ def replica_seed(base: int, index: int) -> int:
     return base ^ index
 
 
-def _replica_paths(spec: LevyMeasureSpec, setup: SolveSetup, base_seed: int,
-                   block: range) -> list[NoisePath]:
-    """The block's noise paths, in order: replica i draws from seed
-    replica_seed(base_seed, i), with the basis's surrogate cells."""
-    return [sample_path(spec, setup.T, setup.n_steps,
-                        replica_seed(base_seed, i),
-                        cells_per_dim=setup.basis.cells_per_dim,
-                        dimension=setup.basis.dimension)
-            for i in block]
+def _replica_paths(spec: LevyMeasureSpec,
+                   partition: SolveSetup | tuple[float, int, int, int],
+                   base_seed: int, block: range,
+                   with_surrogate: bool = True) -> Iterator[NoisePath]:
+    """The block's noise paths, one at a time and in order: replica i draws
+    from seed replica_seed(base_seed, i). This is the one place a suite
+    turns a replica index into a path. The partition is a setup's (its T,
+    n_steps and the basis's surrogate cells) or an explicit
+    (T, n_steps, cells_per_dim, dimension)."""
+    if isinstance(partition, SolveSetup):
+        basis = partition.basis
+        partition = (partition.T, partition.n_steps, basis.cells_per_dim,
+                     basis.dimension)
+    T, n_steps, cells, dimension = partition
+    for i in block:
+        yield sample_path(spec, T, n_steps, replica_seed(base_seed, i),
+                          cells_per_dim=cells, dimension=dimension,
+                          with_surrogate=with_surrogate)
 
 
 @dataclass
@@ -81,6 +91,27 @@ class EnsembleReport:
             "passed": self.passed,
             "verdicts": [vars(v) for v in self.verdicts],
         }
+
+
+def _mean_se(total: float, total_sq: float, R: int) -> tuple[float, float]:
+    """Sample mean over R replicas and its standard error, from the running
+    sum of a value and of its square."""
+    mean = total / R
+    return mean, math.sqrt(max(total_sq / R - mean**2, 0.0) / R)
+
+
+def _proportion_se(p: float, R: int) -> float:
+    """Standard error of an empirical proportion p over R replicas."""
+    return math.sqrt(p * (1.0 - p) / R)
+
+
+def _within_3se(name: str, estimate: tuple[float, float], reference: float,
+                inputs: dict) -> Verdict:
+    """The verdict |observed - reference| <= 3 se on (observed, se)."""
+    observed, se = estimate
+    return Verdict(name=name, passed=abs(observed - reference) <= 3 * se,
+                   observed=observed, reference=reference, margin=3 * se,
+                   inputs=inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +159,14 @@ def isometry_suite(spec: LevyMeasureSpec, R: int = 100_000,
                      np.broadcast_to(t_left, (n_steps, n_cells)),
                      t_left * x_mid])
     sums = np.zeros((2, len(names)))  # running sums and sums of squares
-    for i in range(R):
-        path = sample_path(spec, T, n_steps, replica_seed(base_seed, i),
-                           cells_per_dim=n_cells)
+    for path in _replica_paths(spec, (T, n_steps, n_cells, 1), base_seed,
+                               range(R)):
         v = integrate_step_field(menu, path) ** 2
         sums += (v, v * v)
-    verdicts = []
-    for name, H, total, total_sq in zip(names, menu, *sums):
-        mean = total / R
-        var = max(total_sq / R - mean**2, 0.0)
-        se = math.sqrt(var / R)
-        expected = m2 * float(np.sum(H**2)) * dt * cell_vol
-        verdicts.append(Verdict(
-            name=f"isometry {name}", passed=abs(mean - expected) <= 3 * se,
-            observed=mean, reference=expected, margin=3 * se,
-            inputs={"m2": m2, "T": T, "R": R},
-        ))
+    verdicts = [_within_3se(f"isometry {name}", _mean_se(total, total_sq, R),
+                            m2 * float(np.sum(H**2)) * dt * cell_vol,
+                            {"m2": m2, "T": T, "R": R})
+                for name, H, total, total_sq in zip(names, menu, *sums)]
     return EnsembleReport("isometry", R, base_seed, verdicts)
 
 
@@ -178,7 +201,7 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
     acc = np.zeros((len(idx), M, 2))       # sums of u^2 and u^4 per (time, mode)
     cross = np.zeros(2)                    # u_1 u_2 at final time
     for block in row_blocks(setup, R, kept=1):
-        paths = _replica_paths(spec, setup, base_seed, block)
+        paths = list(_replica_paths(spec, setup, base_seed, block))
         _, histories = solve_rows(paths, setup, None, keep=slice(None))
         for coeffs in histories:           # in replica order
             u = coeffs[idx]                # (n_checks, M)
@@ -187,28 +210,16 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
             if M >= 2:
                 prod = coeffs[-1, 0] * coeffs[-1, 1]
                 cross += (prod, prod * prod)
-    verdicts = []
-    for j, t in enumerate(t_checks):
-        for k in range(M):
-            mean = acc[j, k, 0] / R
-            var = max(acc[j, k, 1] / R - mean**2, 0.0)
-            se = math.sqrt(var / R)
-            expected = mode_variance_closed_form(
-                m2, basis.eigenvalues[k], gamma, setup.times[idx[j]])
-            verdicts.append(Verdict(
-                name=f"mode {k + 1} variance at t={t}",
-                passed=abs(mean - expected) <= 3 * se,
-                observed=mean, reference=expected, margin=3 * se,
-                inputs={"m2": m2, "gamma": gamma, "T": T},
-            ))
+    verdicts = [_within_3se(f"mode {k + 1} variance at t={t}",
+                            _mean_se(*acc[j, k], R),
+                            mode_variance_closed_form(
+                                m2, basis.eigenvalues[k], gamma,
+                                setup.times[idx[j]]),
+                            {"m2": m2, "gamma": gamma, "T": T})
+                for j, t in enumerate(t_checks) for k in range(M)]
     if M >= 2:
-        mean = cross[0] / R
-        se = math.sqrt(max(cross[1] / R - mean**2, 0.0) / R)
-        verdicts.append(Verdict(
-            name="cross-mode covariance (1,2)", passed=abs(mean) <= 3 * se,
-            observed=mean, reference=0.0, margin=3 * se,
-            inputs={"m2": m2},
-        ))
+        verdicts.append(_within_3se("cross-mode covariance (1,2)",
+                                    _mean_se(*cross, R), 0.0, {"m2": m2}))
     return EnsembleReport("additive_linear", R, base_seed, verdicts)
 
 
@@ -219,7 +230,7 @@ def _solve_levels(setup: SolveSetup, spec: LevyMeasureSpec, base_seed: int,
     level N in one batch: row i*len(N_values) + j is replica block[i] at
     level N_values[j], solved from t=0 on its own row. Returns solve_rows'
     norms and kept coefficient histories."""
-    paths = _replica_paths(spec, setup, base_seed, block)
+    paths = list(_replica_paths(spec, setup, base_seed, block))
     radius = np.tile([clamp_radius(N, setup.C_inf) for N in N_values],
                      len(paths))
     return solve_rows([p for p in paths for _ in N_values], setup, radius,
@@ -272,31 +283,27 @@ def check_moment_bound(setup: SolveSetup, spec: LevyMeasureSpec,
         bound *= 1e-3
     inputs = _bound_inputs(setup, spec)
     L = len(N_values)
-    sums = np.zeros((L, 2))   # per level: running sum, sum of squares
+    sums = np.zeros((2, L))   # per level: running sum, sum of squares
     sq_field_mean = np.zeros(setup.basis.grid_size**setup.basis.dimension)
     for block in row_blocks(setup, R, L, kept=1):
         norms, first_level = _solve_levels(setup, spec, base_seed, block,
                                            N_values, keep=slice(0, None, L))
         peaks = np.max(norms**2, axis=1).reshape(len(block), L)
-        for replica_peaks, coeffs in zip(peaks.tolist(), first_level):
-            for j, v in enumerate(replica_peaks):
-                sums[j] += (v, v * v)
+        for v, coeffs in zip(peaks, first_level):     # in replica order
+            sums += (v, v * v)
             sq_field_mean += _time_mean_square(setup, coeffs)
     verdicts = []
-    for N, (total, total_sq) in zip(N_values, sums):
-        mean = total / R
-        se = math.sqrt(max(total_sq / R - mean**2, 0.0) / R)
+    for N, total, total_sq in zip(N_values, *sums):
+        mean, se = _mean_se(total, total_sq, R)
         verdicts.append(Verdict(
             name=f"moment bound at N={N}", passed=mean + 3 * se <= bound,
-            observed=mean, reference=bound, margin=3 * se, inputs=inputs,
-        ))
+            observed=mean, reference=bound, margin=3 * se, inputs=inputs))
     # K_T-style diagnostic: grid max of time-averaged pointwise second moments
     k_t = float(np.max(sq_field_mean / max(R, 1)))
     verdicts.append(Verdict(
         name="pointwise second-moment sup (finite)",
         passed=math.isfinite(k_t), observed=k_t, reference=math.inf,
-        margin=0.0, inputs=inputs,
-    ))
+        margin=0.0, inputs=inputs))
     return EnsembleReport("moment_bound", R, base_seed, verdicts)
 
 
@@ -332,24 +339,19 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     probs = (taus <= setup.T).mean(axis=1)
     # cap at T + dt so inf - inf never pollutes the monotonicity diffs
     taus = np.minimum(taus, setup.T + setup.dt)
-    for j, N in enumerate(N_values):
-        p = probs[j]
-        se = math.sqrt(p * (1.0 - p) / R)
-        bound = bound_base / N**2
+    for N, p in zip(N_values, probs):
+        se, bound = _proportion_se(p, R), bound_base / N**2
         verdicts.append(Verdict(
             name=f"tail bound at N={N}", passed=p <= bound + 3 * se,
-            observed=p, reference=bound, margin=3 * se, inputs=inputs,
-        ))
+            observed=p, reference=bound, margin=3 * se, inputs=inputs))
     mono = bool(np.all(np.diff(taus, axis=0) >= 0.0))
     verdicts.append(Verdict(
         name="tau_N monotone in N on all coupled replicas", passed=mono,
-        observed=float(mono), reference=1.0, margin=0.0, inputs=inputs,
-    ))
+        observed=float(mono), reference=1.0, margin=0.0, inputs=inputs))
     decr = bool(np.all(np.diff(probs) <= 1e-12))
     verdicts.append(Verdict(
         name="empirical P(tau_N <= T) non-increasing in N", passed=decr,
-        observed=float(decr), reference=1.0, margin=0.0, inputs=inputs,
-    ))
+        observed=float(decr), reference=1.0, margin=0.0, inputs=inputs))
     return EnsembleReport("tail_bound", R, base_seed, verdicts)
 
 
@@ -360,19 +362,11 @@ def survival_suite(spec: LevyMeasureSpec, K: float = 1.0, T: float = 1.0,
     exp(-T |D| nu(|z|>K))."""
     rate = spec.tail_mass(K) * (2.0 if corrupt else 1.0)
     expected = math.exp(-T * rate)
-    hits = 0
-    for i in range(R):
-        path = sample_path(spec, T, 1, replica_seed(base_seed, i),
-                           cells_per_dim=2, with_surrogate=False)
-        if first_large_jump(path, K) > T:
-            hits += 1
+    hits = sum(first_large_jump(path, K) > T for path in _replica_paths(
+        spec, (T, 1, 2, 1), base_seed, range(R), with_surrogate=False))
     p = hits / R
-    se = math.sqrt(p * (1.0 - p) / R)
-    v = Verdict(
-        name=f"P(tau^K > T) at K={K}", passed=abs(p - expected) <= 3 * se,
-        observed=p, reference=expected, margin=3 * se,
-        inputs={"T": T, "K": K, "tail_mass": rate},
-    )
+    v = _within_3se(f"P(tau^K > T) at K={K}", (p, _proportion_se(p, R)),
+                    expected, {"T": T, "K": K, "tail_mass": rate})
     return EnsembleReport("survival", R, base_seed, [v])
 
 
@@ -428,7 +422,8 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
             # localization: zeroing the future never changes the past
             loc_ok += _prefix_equal(coeffs_N1, coeffs_cut, cuts[i] + 1)
         if stable_spec is not None:
-            spaths = _replica_paths(stable_spec, setup, base_seed, block)
+            spaths = list(_replica_paths(stable_spec, setup, base_seed,
+                                         block))
             pasted = paste_rows([p for spath in spaths
                                  for p in (truncate(spath, K),
                                            _level_K1_path(spath, K, corrupt))],

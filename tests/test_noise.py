@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fswe.basis import build_basis
 from fswe.noise import (LevyMeasureSpec, NoiseError, first_large_jump,
                         integrate_step_field, sample_path, spec_from_dict,
                         spec_to_dict, truncate, zero_after)
+from fswe.solver import COEFFICIENT_PRESETS, make_setup, solve_untruncated
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
 CAUCHY_LIKE = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
@@ -273,6 +275,23 @@ class TestStepAssignment:
         bounds = p.jump_bounds()
         assert (bounds[29], bounds[30]) == (0, 1)
         assert bounds[28] == bounds[29]
+
+    def test_jump_below_T_in_the_last_step(self):
+        # at T = 1 the 49th multiple of dt = 1/49 is one ulp below 1: a jump
+        # there belongs to the last step, for the solver as for the integral
+        t = np.nextafter(1.0, 0.0)
+        assert 49 * (1.0 / 49) == t
+        p = dataclasses.replace(_path_with_jumps([t], 49),
+                                jump_positions=np.full((1, 1), 0.3))
+        assert p.step_edges[-1] == 1.0
+        assert p.step_of(p.jump_times).tolist() == [48]
+        assert p.jump_bounds()[-2:].tolist() == [0, 1]
+        assert integrate_step_field(np.ones((49, 4)), p) == 1.0
+        setup = make_setup(build_basis(1, 1, grid_size=5), 2.0, 1.0, 1.0, 49,
+                           COEFFICIENT_PRESETS["additive"])
+        # the path's only noise is that jump, so a final norm of 0 means
+        # the solver dropped it
+        assert solve_untruncated(p, setup).hr_norms[-1] > 0.0
 
     @given(n_steps=st.integers(1, 200),
            picks=st.lists(st.tuples(st.integers(0, 10**6),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -423,3 +424,42 @@ class TestConsistencySuite:
         d = rep.to_dict()
         assert d["suite"] == "consistency"
         assert isinstance(d["passed"], bool)
+
+
+_SUITES_AT_TINY_R = {
+    "isometry_suite": lambda s: isometry_suite(RADEMACHER, R=5, base_seed=6),
+    "additive_linear_suite": lambda s: additive_linear_suite(
+        build_basis(1, 2), 2.0, 1.0, RADEMACHER, R=5, base_seed=6),
+    "check_moment_bound": lambda s: check_moment_bound(
+        s, RADEMACHER, N_values=(1, 2), R=5, base_seed=6),
+    "check_tail_bound": lambda s: check_tail_bound(
+        s, RADEMACHER, N_values=(1, 2), R=5, base_seed=6),
+    "survival_suite": lambda s: survival_suite(STABLE, R=5, base_seed=6),
+    "consistency_suite": lambda s: consistency_suite(
+        s, PM3, stable_spec=STABLE, n_seeds=5, base_seed=6),
+}
+
+
+@pytest.mark.parametrize("suite", list(_SUITES_AT_TINY_R))
+def test_every_path_comes_from_the_replica_rule(setup, monkeypatch, suite):
+    # each sample_path call runs inside _replica_paths, and each measure's
+    # seeds are replica_seed(6, i) for i = 0 .. R-1, in replica order
+    rule = fswe.verify._replica_paths.__code__
+    sample_path = fswe.verify.sample_path
+    seeds, outside = {}, []
+
+    def recorded(spec, T, n_steps, seed, **kw):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not rule:
+            frame = frame.f_back
+        if frame is None:
+            outside.append(seed)
+        seeds.setdefault(spec, []).append(seed)
+        return sample_path(spec, T, n_steps, seed, **kw)
+
+    monkeypatch.setattr(fswe.verify, "sample_path", recorded)
+    _SUITES_AT_TINY_R[suite](setup)
+    assert outside == []
+    assert seeds
+    for drawn in seeds.values():
+        assert drawn == [replica_seed(6, i) for i in range(5)]
