@@ -27,6 +27,11 @@ class NoiseError(ValueError):
     pass
 
 
+def grid_times(T: float, n_steps: int) -> np.ndarray:
+    """The one time grid: n T / n_steps, n = 0..n_steps, the last T."""
+    return np.linspace(0.0, T, n_steps + 1)
+
+
 @dataclass(frozen=True)
 class LevyMeasureSpec:
     """Declarative Levy measure: either a finite list of atoms (z_i, rho_i)
@@ -194,20 +199,13 @@ class NoisePath:
 
     @functools.cached_property
     def step_edges(self) -> np.ndarray:
-        """Step boundaries n dt, n = 0..n_steps, the last one exactly T
-        (the rule of SolveSetup.times), so every jump time in [0, T) lies
-        in one step, the half-open [step_edges[n], step_edges[n+1])."""
-        return np.linspace(0.0, self.T, self.n_steps + 1)
-
-    def step_of(self, times: np.ndarray) -> np.ndarray:
-        """Index n of the step with step_edges[n] <= t < step_edges[n+1]
-        for each time."""
-        return np.searchsorted(self.step_edges, times, side="right") - 1
+        """The grid times (grid_times), step n being the half-open
+        [step_edges[n], step_edges[n+1])."""
+        return grid_times(self.T, self.n_steps)
 
     def jump_bounds(self) -> np.ndarray:
-        """Index of the first jump at or after each step edge, shape
-        (n_steps + 1,): step_of assigns jumps bounds[n] .. bounds[n+1] - 1
-        to step n. Computed per call; a solve keeps its own copy."""
+        """The one step rule for jumps: step n holds jumps bounds[n] ..
+        bounds[n+1] - 1, bounds[n] the first at or after step_edges[n]."""
         return np.searchsorted(self.jump_times, self.step_edges)
 
     def cell_index(self, positions: np.ndarray) -> np.ndarray:
@@ -308,7 +306,8 @@ def integrate_step_field(H: np.ndarray,
 
     H has shape (..., n_steps, n_cells), constant on each (step, cell); each
     leading index is one integrand, integrated on its own. The result has
-    shape (...), a float for a 2-D H.
+    shape (...), a float for a 2-D H. A jump enters in the step that
+    NoisePath.jump_bounds assigns it; one at or after T enters nowhere.
     """
     H = np.asarray(H, dtype=float)
     if H.shape[-2:] != (path.n_steps, path.n_cells):
@@ -317,13 +316,15 @@ def integrate_step_field(H: np.ndarray,
             f"(..., {path.n_steps}, {path.n_cells})"
         )
     total = np.zeros(H.shape[:-2])
-    if len(path.jump_times):
-        steps = np.minimum(path.step_of(path.jump_times), path.n_steps - 1)
-        cells = path.cell_index(path.jump_positions)
+    bounds = path.jump_bounds()
+    if bounds[-1] > bounds[0]:
+        jumps = slice(bounds[0], bounds[-1])
+        steps = np.repeat(np.arange(path.n_steps), np.diff(bounds))
+        cells = path.cell_index(path.jump_positions[jumps])
         # contiguous jump values: np.sum then adds each integrand's terms
         # in the order of the 1-D sum
         at_jumps = np.ascontiguousarray(H[..., steps, cells])
-        total += np.sum(at_jumps * path.jump_sizes, axis=-1)
+        total += np.sum(at_jumps * path.jump_sizes[jumps], axis=-1)
     # compensator of the exactly-simulated jumps (zero for symmetric specs)
     m1 = path.spec.m1
     if m1 != 0.0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis, embedding_constant
-from .noise import NoisePath, first_large_jump, truncate
+from .noise import NoisePath, first_large_jump, grid_times, truncate
 
 
 class SolverError(ValueError):
@@ -161,8 +161,8 @@ class SolveSetup:
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        """The grid times, shape (n_steps + 1,), read-only."""
-        times = np.linspace(0.0, self.T, self.n_steps + 1)
+        """The grid times (noise.grid_times), read-only."""
+        times = grid_times(self.T, self.n_steps)
         times.flags.writeable = False
         return times
 
@@ -190,9 +190,9 @@ class SolveSetup:
 
     @functools.cached_property
     def phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """cos(omega t_n) and sin(omega t_n) at the grid times t_n = n dt,
-        each of shape (n_steps + 1, M); tabulated on first use."""
-        wt = (np.arange(self.n_steps + 1) * self.dt)[:, None] * self.omega
+        """cos(omega t_n) and sin(omega t_n) at the grid times t_n, each of
+        shape (n_steps + 1, M); tabulated on first use."""
+        wt = self.times[:, None] * self.omega
         return np.cos(wt), np.sin(wt)
 
 
@@ -346,32 +346,30 @@ def _field_rows(u: np.ndarray, radius: np.ndarray) -> tuple:
 def step(state: ModeState, groups: Sequence[RowGroup], n: int,
          setup: SolveSetup, radius: np.ndarray,
          noise: dict) -> ModeState:
-    """Advance every row one step [n dt, (n+1) dt) with left-point evaluation.
+    """Advance every row from grid time t_n to t_n+1 (setup.times) with
+    left-point evaluation.
 
     The state arrays have shape (rows, M), and each group's path drives the
-    group's rows. Row i clamps the argument of b and sigma at +-radius[i]
-    (inf: not at all). ``noise`` maps each live surrogate to its
-    step-n row (see _draw); a row whose path's surrogate is absent gets no
-    surrogate term. Every product is a stack of one-row products, so a row
-    gets the same bytes in any batch, alone included.
+    group's rows with the jumps jump_bounds assigns to step n. Row i clamps
+    the argument of b and sigma at +-radius[i] (inf: not at all).
+    ``noise`` maps each live surrogate to its step-n row (see _draw); a row
+    whose path's surrogate is absent gets no surrogate term. Every product
+    is a stack of one-row products, so a row gets the same bytes in any
+    batch, alone included.
 
-    Every coefficient is evaluated through _coefficient: the grid field is
-    synthesized at most once, for the drift and the compensator, and no
-    field is synthesized for a coefficient that ignores its argument. Such
-    a coefficient's drift or compensator projection is the setup's
-    drift_projection or compensator_projection, computed once per setup.
-    On first request the grid field is split by _field_rows: the rows
-    whose u is all zero and bitwise equal to the first such row's, as
-    every row is until its path's first jump when b(0) = 0, share that
-    row's synthesis, clamp, coefficient and projection, and each reads
-    that row's bytes, which are the bytes it computes alone. Nothing else
-    is shared: a row that is not zero, identical levels of one path
-    included, is evaluated on its own, and a zero row has norm 0, so no
-    tau_N rests on the sharing. The groups with jumps in the step are
-    bucketed by (jump count, rows per group): each bucket evaluates sigma
-    at its jumps and scatters them into Mc and Ms with one stacked product
-    each, whose items are the one-row products a row gets alone, a group's
-    jump tables broadcast over its rows.
+    Every coefficient is evaluated through _coefficient. One that ignores
+    its argument reads no field: its drift or compensator projection is
+    the setup's drift_projection or compensator_projection. When the drift
+    or the compensator reads the state, the grid field is synthesized once,
+    before the drift, for both, on the rows _field_rows picks: the all-zero
+    rows bitwise equal to the first one, as every row is until its path's
+    first jump when b(0) = 0, share one evaluation, and each reads the
+    bytes it computes alone. A zero row has norm 0, so no tau_N rests on
+    the sharing. The groups with jumps in the step are bucketed by (jump
+    count, rows per group): each bucket evaluates sigma at its jumps and
+    scatters them into Mc and Ms with one stacked product each, whose items
+    are the one-row products a row gets alone, a group's jump tables
+    broadcast over its rows.
     """
     bas = setup.basis
     pair = setup.pair
@@ -382,19 +380,21 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     r = radius[:, None]
     A, B = state.drift_cos, state.drift_sin
     Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
-    split = functools.cache(lambda: _field_rows(u, radius))
-    grid = functools.cache(
-        lambda: bas.synthesize(u[split()[0], None])[:, 0])
+    m1 = groups[0].path.spec.m1
+    drifts, compensates = pair.D_b != 0.0, m1 != 0.0 and pair.D_sigma != 0.0
+    beta, comp = setup.drift_projection, setup.compensator_projection
+    if (drifts and beta is None) or (compensates and comp is None):
+        # the grid field, synthesized once for the drift and the compensator
+        rows, item = _field_rows(u, radius)
+        grid = bas.synthesize(u[rows, None])[:, 0]
+        if drifts and beta is None:
+            beta = bas.analyze(bas.quad_weights * _coefficient(
+                pair.b, lambda: grid, r[rows]))[item]
+        if compensates and comp is None:
+            comp = bas.analyze(bas.quad_weights * _coefficient(
+                pair.sigma, lambda: grid, r[rows]))[item]
 
-    def projection(f, constant):
-        if constant is not None:
-            return constant
-        rows, item = split()
-        return bas.analyze(bas.quad_weights
-                           * _coefficient(f, grid, r[rows]))[item]
-
-    if pair.D_b != 0.0:
-        beta = projection(pair.b, setup.drift_projection)
+    if drifts:
         A = A + dt * cos_t[n] * beta
         B = B + dt * sin_t[n] * beta
 
@@ -443,10 +443,8 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
             Mc[rows] += (blocks(cos_modes) @ w).reshape(-1, M)
             Ms[rows] += (blocks(sin_modes) @ w).reshape(-1, M)
 
-    m1 = groups[0].path.spec.m1
-    if m1 != 0.0 and pair.D_sigma != 0.0:
+    if compensates:
         # compensator of asymmetric finite-activity jumps, left-point rule
-        comp = projection(pair.sigma, setup.compensator_projection)
         Mc -= m1 * dt * cos_t[n] * comp
         Ms -= m1 * dt * sin_t[n] * comp
 
@@ -466,8 +464,8 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         Mc[rows] += cos_t[n] * proj
         Ms[rows] += sin_t[n] * proj
 
-    new = ModeState(t=(n + 1) * dt, drift_cos=A, drift_sin=B, mart_cos=Mc,
-                    mart_sin=Ms, u=u)
+    new = ModeState(t=float(setup.times[n + 1]), drift_cos=A, drift_sin=B,
+                    mart_cos=Mc, mart_sin=Ms, u=u)
     new.u = new.rebuild_u(omega, cos_t[n + 1], sin_t[n + 1])
     return new
 
@@ -527,12 +525,12 @@ class StoppingRecord:
     tau_by_K: dict = field(default_factory=dict)       # K -> first large jump
     cap_reached: bool = False
 
-    def stop_N(self, N: int, tau: float, dt: float) -> None:
-        """Record tau_N and, when it is finite, its step bracket
-        (max(tau - dt, 0), tau)."""
+    def stop_N(self, N: int, tau: float, times: np.ndarray) -> None:
+        """Record tau_N and, when finite, its bracket of grid times."""
         self.tau_by_N[N] = tau
         if math.isfinite(tau):
-            self.tau_brackets[N] = (max(tau - dt, 0.0), tau)
+            n = int(np.searchsorted(times, tau))
+            self.tau_brackets[N] = (float(times[max(n - 1, 0)]), tau)
 
 
 @dataclass
@@ -579,7 +577,7 @@ def solve_truncated(N: int, path: NoisePath, setup: SolveSetup) -> Trajectory:
     """Solve with coefficients clamped at +-C_inf*N and record tau_N."""
     traj = _run(path, setup, clamp_radius(N, setup.C_inf))
     traj.active_N[:] = N
-    traj.stopping.stop_N(N, detect_stop(traj, N), setup.dt)
+    traj.stopping.stop_N(N, detect_stop(traj, N), setup.times)
     return traj
 
 
@@ -672,7 +670,7 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
             record = records[i]
             while not record.cap_reached and norms[i, n] > level_N[i]:
                 N = int(level_N[i])
-                record.stop_N(N, float(times[n]), setup.dt)
+                record.stop_N(N, float(times[n]), times)
                 if N == N_max:
                     record.cap_reached = True
                 else:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .basis import EigenBasis, lambda_power_sum, lambda_power_tail
 from .noise import (LevyMeasureSpec, NoisePath, first_large_jump,
-                    integrate_step_field, sample_path, truncate, zero_after)
+                    grid_times, integrate_step_field, sample_path, truncate,
+                    zero_after)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, clamp_radius,
                      make_setup, paste_rows, row_blocks, solve_rows,
                      stop_times)
@@ -152,7 +153,7 @@ def isometry_suite(spec: LevyMeasureSpec, R: int = 100_000,
     m2 = spec.m2 * (4.0 if corrupt else 1.0)
     dt = T / n_steps
     cell_vol = 1.0 / n_cells
-    t_left = np.arange(n_steps)[:, None] * dt
+    t_left = grid_times(T, n_steps)[:-1, None]
     x_mid = ((np.arange(n_cells) + 0.5) / n_cells)[None, :]
     names = ("H=1", "H=t", "H=t*x")
     menu = np.stack([np.ones((n_steps, n_cells)),
@@ -318,10 +319,9 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     its (replica, N) rows with one step call per grid step. Every row has
     the bytes solve_truncated(N, path, setup) gives it: each level is
     solved from t=0 on its own row, and no row's state is derived from
-    another's, so the monotonicity verdict still tests the coupling. The
-    one thing rows share is step's grid field of the rows whose state is
-    all zero (see solver._field_rows); such a row has norm 0, so it never
-    carries a tau_N, and every row that can is evaluated on its own.
+    another's, so the monotonicity verdict still tests the coupling. Rows
+    share only step's grid field of the all-zero rows (solver._field_rows),
+    and a zero row has norm 0, so it never carries a tau_N.
     """
     bound_base = moment_growth_bound(setup, spec.m2)
     if corrupt:
@@ -399,7 +399,7 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
     cut at level N+1. Its stable paths truncated at K and at K+1 are rows
     of one paste_rows pass. No row is derived from another.
     """
-    dt, times, n_steps = setup.dt, setup.times, setup.n_steps
+    times, n_steps = setup.times, setup.n_steps
     rng = np.random.default_rng(base_seed)
     cuts = [int(rng.integers(1, n_steps)) for _ in range(n_seeds)]
     # corrupt mode clamps level N at a twentieth of its radius
@@ -410,7 +410,7 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
         paths = _replica_paths(spec, setup, base_seed, block)
         norms, histories = solve_rows(
             [p for i, path in zip(block, paths)
-             for p in (path, path, zero_after(path, cuts[i] * dt))],
+             for p in (path, path, zero_after(path, times[cuts[i]]))],
             setup, np.tile(radius, len(block)), keep=slice(None))
         # the grid index of each tau_N, n_steps + 1 where it is infinite
         ends = np.searchsorted(times, stop_times(times, norms[::3],

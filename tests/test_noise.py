@@ -268,10 +268,9 @@ def _path_with_jumps(times, n_steps, T=1.0):
 
 class TestStepAssignment:
     def test_grid_time_goes_to_the_step_it_starts(self):
-        p = _path_with_jumps([], 100)
-        t = 29 * p.dt
-        assert p.step_of(np.array([t]))[0] == 29
+        t = 29 * (1.0 / 100)
         p = _path_with_jumps([t], 100)
+        assert p.step_edges[29] == t
         bounds = p.jump_bounds()
         assert (bounds[29], bounds[30]) == (0, 1)
         assert bounds[28] == bounds[29]
@@ -284,7 +283,6 @@ class TestStepAssignment:
         p = dataclasses.replace(_path_with_jumps([t], 49),
                                 jump_positions=np.full((1, 1), 0.3))
         assert p.step_edges[-1] == 1.0
-        assert p.step_of(p.jump_times).tolist() == [48]
         assert p.jump_bounds()[-2:].tolist() == [0, 1]
         assert integrate_step_field(np.ones((49, 4)), p) == 1.0
         setup = make_setup(build_basis(1, 1, grid_size=5), 2.0, 1.0, 1.0, 49,
@@ -292,6 +290,28 @@ class TestStepAssignment:
         # the path's only noise is that jump, so a final norm of 0 means
         # the solver dropped it
         assert solve_untruncated(p, setup).hr_norms[-1] > 0.0
+
+    def test_jump_at_T_is_in_no_step(self):
+        # a jump at exactly T enters neither the integral nor the solve,
+        # which both follow jump_bounds
+        p = dataclasses.replace(_path_with_jumps([1.0], 49),
+                                jump_positions=np.full((1, 1), 0.3))
+        assert p.jump_bounds().tolist() == [0] * 50
+        assert integrate_step_field(np.ones((49, 4)), p) == 0.0
+        setup = make_setup(build_basis(1, 4, grid_size=17), 2.0, 1.0, 1.0,
+                           49, COEFFICIENT_PRESETS["additive"])
+        inside = dataclasses.replace(_path_with_jumps([0.37, 1.0], 49),
+                                     jump_positions=np.array([[0.3], [0.6]]))
+        without = inside.keep_jumps(np.array([True, False]))
+        H = np.arange(49 * 4, dtype=float).reshape(49, 4)
+        assert integrate_step_field(H, inside) == integrate_step_field(
+            H, without) == H[18, 1]
+        with_T, alone = (solve_untruncated(q, setup) for q in (inside,
+                                                                without))
+        for name in ("hr_norms", "coeffs"):
+            assert getattr(with_T, name).tobytes() == \
+                getattr(alone, name).tobytes(), name
+        assert with_T.hr_norms[-1] > 0.0
 
     @given(n_steps=st.integers(1, 200),
            picks=st.lists(st.tuples(st.integers(0, 10**6),
@@ -312,15 +332,13 @@ class TestStepAssignment:
         if not times:
             return
         p = _path_with_jumps(times, n_steps, T)
-        steps = p.step_of(p.jump_times)
-        # the rule: n dt <= t < (n+1) dt
+        # the jump bounds put every jump in [0, T) in one step, by the
+        # rule n dt <= t < (n+1) dt
+        bounds = p.jump_bounds()
+        assert (bounds[0], bounds[-1]) == (0, len(times))
+        steps = np.repeat(np.arange(n_steps), np.diff(bounds))
         for t, n in zip(p.jump_times, steps):
             assert n * p.dt <= t < (n + 1) * p.dt
-        # the solver's jump bounds partition the jumps by that same rule
-        bounds = p.jump_bounds()
-        for n in range(n_steps):
-            np.testing.assert_array_equal(np.nonzero(steps == n)[0],
-                                          np.arange(bounds[n], bounds[n + 1]))
         # the step-field integral uses it too: H = step index sums the steps
         H = np.repeat(np.arange(n_steps, dtype=float)[:, None], 4, axis=1)
         assert integrate_step_field(H, p) == float(np.sum(steps))

@@ -11,8 +11,8 @@ import _paste_oracle as oracle
 import fswe.basis
 import fswe.solver
 from fswe.basis import build_basis, embedding_constant
-from fswe.noise import (GaussianSurrogate, LevyMeasureSpec, sample_path,
-                        truncate, zero_after)
+from fswe.noise import (GaussianSurrogate, LevyMeasureSpec, grid_times,
+                        sample_path, truncate, zero_after)
 from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
                          SolverError, clamp_radius, detect_stop, make_setup,
                          paste_over_K, paste_over_N, paste_rows, row_groups,
@@ -319,18 +319,26 @@ class TestStoppingAndPasting:
             np.testing.assert_array_equal(traj.coeffs[last], k1.coeffs[last])
 
 
-def _n_record(traj, N_max, dt):
+def _n_record(traj, N_max):
     """tau_N and its bracket for the levels a pasted trajectory used: the
     first grid time its norm exceeds N, up to the first N never exceeded
-    or N_max."""
+    or N_max, and the grid time before it."""
     tau_by_N, brackets = {}, {}
     for N in range(1, N_max + 1):
         tau = detect_stop(traj, N)
         tau_by_N[N] = tau
         if math.isinf(tau):
             break
-        brackets[N] = (max(tau - dt, 0.0), tau)
+        n = int(np.flatnonzero(traj.times == tau)[0])
+        brackets[N] = (float(traj.times[n - 1]), tau)
     return tau_by_N, brackets
+
+
+def _assert_grid_brackets(record, times):
+    """Every tau_N bracket is two consecutive grid times."""
+    for lo, hi in record.tau_brackets.values():
+        n = int(np.searchsorted(times, hi))
+        assert n >= 1 and (times[n - 1], times[n]) == (lo, hi), (lo, hi)
 
 
 # Random (d, M, grid, preset, noise, seed) configs: M applies in d=1, where
@@ -384,7 +392,7 @@ class TestOnePassPasting:
             new = paste_over_K(path, setup, N_max=N_max)
             old = oracle.paste_over_K(path, setup, N_max=N_max)
             # the oracle records no N levels when it pastes over K
-            expect_N = _n_record(old, N_max, setup.dt)
+            expect_N = _n_record(old, N_max)
         else:
             new = paste_over_N(path, setup, N_max=N_max)
             old = oracle.paste_over_N(path, setup, N_max=N_max)
@@ -392,6 +400,7 @@ class TestOnePassPasting:
             assert new.stopping.tau_by_K == {}
         _assert_same_pasting(new, old)
         assert (new.stopping.tau_by_N, new.stopping.tau_brackets) == expect_N
+        _assert_grid_brackets(new.stopping, setup.times)
         taus_K = list(new.stopping.tau_by_K.values())
         capped = bool(np.any(new.hr_norms > N_max)) or (
             bool(taus_K) and math.isfinite(taus_K[-1]))
@@ -911,6 +920,77 @@ class TestConstantProjections:
             del setup
 
 
+class TestQuadratureOfConstants:
+    """A constant coefficient's projection is the trapezoid sum of an odd
+    square wave: per axis sqrt(2) h cot(k pi h / 2) at odd k, h the cell
+    width, and zero at even k. That lies about (k pi h)^2 / 12 below the
+    exact integral 2 sqrt(2) / (k pi) per axis."""
+
+    @pytest.mark.parametrize("d, M, grid, deficit", [
+        (1, 16, 257, 0.002825),   # k = 15
+        (2, 64, 257, 0.001130),   # k = (9, 3)
+        (1, 128, 513, 0.05112),   # k = 127, d1_stable_ensemble's basis
+        (2, 64, 37, 0.05736),     # k = (9, 3), the d=2 grid 4 kmax + 1
+    ])
+    def test_constant_projection_is_the_cot_sum(self, d, M, grid, deficit):
+        basis = build_basis(d, M, grid_size=grid)
+        setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 10,
+                           COEFFICIENT_PRESETS["constant"], C_inf=1.0)
+        projection = setup.drift_projection
+        k, h = basis.multi_indices, 1.0 / basis.cells_per_dim
+        odd = np.all(k % 2 == 1, axis=1)
+        cot_sum = np.prod(math.sqrt(2.0) * h / np.tan(k * math.pi * h / 2),
+                          axis=1)
+        exact = np.prod(2.0 * math.sqrt(2.0) / (k * math.pi), axis=1)
+        np.testing.assert_allclose(projection[odd], cot_sum[odd],
+                                   rtol=1e-12)
+        assert np.max(np.abs(projection[~odd])) < 1e-14
+        below = 1.0 - projection[odd] / exact[odd]
+        assert below.max() == pytest.approx(deficit, rel=1e-3)
+        leading = np.sum((k[odd] * math.pi * h) ** 2, axis=1) / 12.0
+        np.testing.assert_allclose(below, leading, rtol=0.03)
+
+
+class TestGridTimes:
+    """One rule for the grid: noise.grid_times, whose last point is T, read
+    by the setup's times and phases, the paths' step edges, the state step
+    returns and the tau_N brackets."""
+
+    def test_last_grid_time_is_T(self, basis):
+        # 49 * (1 / 49) is one ulp below 1
+        assert 49 * (1.0 / 49) < 1.0
+        setup = setup_for(basis, "wave", n_steps=49)
+        path = path_for(basis, 3, n_steps=49)
+        assert setup.times.tobytes() == path.step_edges.tobytes() == \
+            grid_times(1.0, 49).tobytes()
+        assert setup.times[-1] == 1.0
+        cos_t, sin_t = setup.phases
+        assert cos_t[-1].tobytes() == np.cos(setup.omega * 1.0).tobytes()
+        assert sin_t[-1].tobytes() == np.sin(setup.omega * 1.0).tobytes()
+        state = ModeState.zero((1, basis.mode_count))
+        groups = row_groups([path], setup)
+        for n in range(49):
+            state = step(state, groups, n, setup, np.array([np.inf]), {})
+            assert state.t == setup.times[n + 1]
+        assert state.t == 1.0
+
+    def test_brackets_are_consecutive_grid_times(self, basis):
+        # tau_1 at grid index 3 of 30 steps, where 3 dt - dt is not 2 dt
+        setup = setup_for(basis, "additive", n_steps=30)
+        times = setup.times
+        assert times[3] - setup.dt != times[2]
+        path = dataclasses.replace(
+            path_for(basis, 0, n_steps=30),
+            jump_times=np.array([2.5 * setup.dt]),
+            jump_positions=np.array([[0.3]]), jump_sizes=np.array([50.0]))
+        pasted = paste_over_N(path, setup, N_max=2)
+        truncated = solve_truncated(1, path, setup)
+        for record in (pasted.stopping, truncated.stopping):
+            assert record.tau_by_N[1] == times[3]
+            assert record.tau_brackets[1] == (times[2], times[3])
+            _assert_grid_brackets(record, times)
+
+
 def _field_step(d, preset, spec, u, radius, seed=5, n=2):
     """One step n of the rows u, shape (rows, M), on one path of spec with
     two jumps in the step and random accumulators, and the same step of
@@ -972,8 +1052,9 @@ class TestZeroRowField:
         # the zero rows 0, 2, 3, 5 and 7 share one field; the nonzero rows
         # 1 and 4 and the -0.0 row 6 are their own
         assert [len(x) for x in arguments["b"]] == [4]
-        if spec.m1 != 0.0:   # the compensator reads the same split field
-            assert len(arguments["sigma"][-1]) == 4
+        if spec.m1 != 0.0:   # the compensator reads the same split field,
+            # projected with the drift before the jumps
+            assert len(arguments["sigma"][0]) == 4
 
     # from zero data: wave rows are zero until their path's first jump,
     # sine rows (b(0) = sigma(0) = 0) stay zero, the compensator included
