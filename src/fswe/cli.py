@@ -65,9 +65,9 @@ class RunConfig:
             raise ConfigError(
                 f"unknown coefficient preset {self.coefficients!r}; "
                 f"choose from {sorted(COEFFICIENT_PRESETS)}")
+        cutoff = self.levy_spec().cutoff   # every noise key checked here
         if self.K_schedule is not None:
-            check_K_schedule(self.K_schedule, self.levy_spec().cutoff,
-                             ConfigError)
+            check_K_schedule(self.K_schedule, cutoff, ConfigError)
 
     def levy_spec(self) -> LevyMeasureSpec:
         return spec_from_dict(self.noise)

@@ -48,6 +48,8 @@ class LevyMeasureSpec:
 
     def __post_init__(self):
         if self.variant == "atoms":
+            if self.alpha is not None:
+                raise NoiseError("an atom measure takes no stable index alpha")
             for z, rho in self.atoms:
                 if z == 0.0:
                     raise NoiseError("atom at z=0 is not a jump")
@@ -57,6 +59,8 @@ class LevyMeasureSpec:
                 raise NoiseError("atoms are all simulated exactly; an atom "
                                  "measure takes no jump cutoff")
         elif self.variant == "stable":
+            if self.atoms:
+                raise NoiseError("a stable measure takes no atoms")
             if self.alpha is None or not 0.0 < self.alpha < 2.0:
                 raise NoiseError(f"stable index must be in (0,2), got {self.alpha}")
             if self.cutoff <= 0.0:
@@ -372,10 +376,14 @@ def spec_to_dict(spec: LevyMeasureSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> LevyMeasureSpec:
+    """The spec of a dict of LevyMeasureSpec fields (spec_to_dict's form).
+    Every key is passed through, so the spec checks each one it is given:
+    a key of the other variant is an error, not dropped."""
+    d = dict(d)
     if d.get("variant") == "atoms":
-        return LevyMeasureSpec(variant="atoms",
-                               atoms=tuple(tuple(a) for a in d["atoms"]))
-    if d.get("variant") == "stable":
-        return LevyMeasureSpec(variant="stable", alpha=d["alpha"],
-                               cutoff=d.get("cutoff", DEFAULT_STABLE_CUTOFF))
-    raise NoiseError(f"unknown noise variant {d.get('variant')!r}")
+        d["atoms"] = tuple(tuple(a) for a in d["atoms"])
+    elif d.get("variant") == "stable":
+        d.setdefault("cutoff", DEFAULT_STABLE_CUTOFF)
+    else:
+        raise NoiseError(f"unknown noise variant {d.get('variant')!r}")
+    return LevyMeasureSpec(**d)

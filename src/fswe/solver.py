@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,14 +247,24 @@ def hr_norm_at(state: ModeState, setup: SolveSetup):
     return np.sqrt(np.sum(setup.lam_r * state.u**2, axis=-1))
 
 
-def _check_path(path: NoisePath, setup: SolveSetup) -> None:
+def _check_batch(paths: Sequence[NoisePath], setup: SolveSetup) -> None:
+    """Raise SolverError unless the batch has a path and every path matches
+    the setup and the first path's Levy measure."""
+    if not paths:
+        raise SolverError("a batch needs at least one path")
     b = setup.basis
-    if path.dimension != b.dimension:
-        raise SolverError("path dimension does not match the basis")
-    if path.n_steps != setup.n_steps or abs(path.T - setup.T) > 1e-12:
-        raise SolverError("path partition does not match the solver partition")
-    if path.surrogate is not None and path.cells_per_dim != b.cells_per_dim:
-        raise SolverError("path surrogate cells do not match the quadrature grid")
+    for path in {id(p): p for p in paths}.values():
+        if path.dimension != b.dimension:
+            raise SolverError("path dimension does not match the basis")
+        if path.n_steps != setup.n_steps or path.T != setup.T:
+            raise SolverError(
+                "path partition does not match the solver partition")
+        if (path.surrogate is not None
+                and path.cells_per_dim != b.cells_per_dim):
+            raise SolverError(
+                "path surrogate cells do not match the quadrature grid")
+        if path.spec != paths[0].spec:
+            raise SolverError("the rows of a batch must share one Levy measure")
 
 
 @dataclass(frozen=True)
@@ -271,19 +281,15 @@ def row_groups(paths: Sequence[NoisePath],
                setup: SolveSetup) -> list[RowGroup]:
     """Group the rows of a batch by path: row i is driven by paths[i].
 
-    Rows given the same path object share a group. Every path must match
-    the setup, and all of them one Levy measure.
+    Rows given the same path object share a group; see _check_batch for
+    the paths a batch takes.
     """
-    if not paths:
-        raise SolverError("a batch needs at least one path")
+    _check_batch(paths, setup)
     rows_of: dict[int, tuple[NoisePath, list[int]]] = {}
     for i, path in enumerate(paths):
         rows_of.setdefault(id(path), (path, []))[1].append(i)
     groups = []
     for path, rows in rows_of.values():
-        _check_path(path, setup)
-        if path.spec != paths[0].spec:
-            raise SolverError("the rows of a batch must share one Levy measure")
         index = np.array(rows)
         contiguous = rows[-1] - rows[0] + 1 == len(rows)
         groups.append(RowGroup(
@@ -291,27 +297,6 @@ def row_groups(paths: Sequence[NoisePath],
             rows=slice(rows[0], rows[-1] + 1) if contiguous else index,
             index=index, jump_bounds=path.jump_bounds().tolist()))
     return groups
-
-
-def _open_streams(paths: Sequence[NoisePath]) -> dict:
-    """One row stream per distinct surrogate object of the paths, keyed on
-    the object: truncate shares a path's surrogate, so every K level of a
-    path reads the same stream."""
-    streams = {}
-    for p in paths:
-        if p.surrogate is not None and p.surrogate not in streams:
-            streams[p.surrogate] = p.surrogate.rows()
-    return streams
-
-
-def _draw(streams: dict) -> dict:
-    """Advance every stream one grid step: the live surrogates' rows."""
-    rows = {}
-    for surrogate, stream in streams.items():
-        row = next(stream, None)
-        if row is not None:
-            rows[surrogate] = row
-    return rows
 
 
 _EVERY_ROW = slice(None), slice(None)
@@ -352,10 +337,10 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     The state arrays have shape (rows, M), and each group's path drives the
     group's rows with the jumps jump_bounds assigns to step n. Row i clamps
     the argument of b and sigma at +-radius[i] (inf: not at all).
-    ``noise`` maps each live surrogate to its step-n row (see _draw); a row
-    whose path's surrogate is absent gets no surrogate term. Every product
-    is a stack of one-row products, so a row gets the same bytes in any
-    batch, alone included.
+    ``noise`` maps each live surrogate to its step-n row (see _forward);
+    a row whose path's surrogate is absent gets no surrogate term. Every
+    product is a stack of one-row products, so a row gets the same bytes
+    in any batch, alone included.
 
     Every coefficient is evaluated through _coefficient. One that ignores
     its argument reads no field: its drift or compensator projection is
@@ -499,20 +484,38 @@ def solve_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     histories of the rows that ``keep`` selects, shape
     (kept, n_steps + 1, M); no other row's history is stored.
     """
-    groups = row_groups(paths, setup)
-    streams = _open_streams(paths)
     rows = len(paths)
     if radius is None:
         radius = np.full(rows, np.inf)
-    M = setup.basis.mode_count
-    state = ModeState.zero((rows, M))
     norms = np.zeros((rows, setup.n_steps + 1))
-    coeffs = np.zeros((len(range(rows)[keep]), setup.n_steps + 1, M))
-    for n in range(setup.n_steps):
-        state = step(state, groups, n, setup, radius, _draw(streams))
-        norms[:, n + 1] = hr_norm_at(state, setup)
-        coeffs[:, n + 1] = state.u[keep]
+    coeffs = np.zeros((len(range(rows)[keep]), setup.n_steps + 1,
+                       setup.basis.mode_count))
+    for n, state in enumerate(_forward(paths, setup, radius), 1):
+        norms[:, n] = hr_norm_at(state, setup)
+        coeffs[:, n] = state.u[keep]
     return norms, coeffs
+
+
+def _forward(paths: Sequence[NoisePath], setup: SolveSetup,
+             radius: np.ndarray) -> Iterator[ModeState]:
+    """Solve a batch from zero, yielding the state after each grid step:
+    the one forward loop of solve_rows and paste_rows. Row i is driven by
+    paths[i] and clamped at radius[i]; radius is read at every step, so
+    the caller may raise a row's radius between yields.
+
+    One row stream is opened per distinct surrogate object and advanced
+    once per grid step, whatever rows it drives: truncate and _K_driver
+    share a path's surrogate, so every K level of a path reads one stream.
+    """
+    groups = row_groups(paths, setup)
+    streams = {s: s.rows() for s in dict.fromkeys(p.surrogate for p in paths)
+               if s is not None}
+    state = ModeState.zero((len(paths), setup.basis.mode_count))
+    for n in range(setup.n_steps):
+        noise = {s: row for s, stream in streams.items()
+                 if (row := next(stream, None)) is not None}
+        state = step(state, groups, n, setup, radius, noise)
+        yield state
 
 
 # ---------------------------------------------------------------------------
@@ -581,26 +584,37 @@ def solve_truncated(N: int, path: NoisePath, setup: SolveSetup) -> Trajectory:
     return traj
 
 
-def _K_entries(path: NoisePath, times: np.ndarray,
-               K_schedule: Sequence[float],
-               record: StoppingRecord) -> tuple[list, bool]:
-    """The K levels a path enters, as (grid index, K, truncated path) in
-    order, and whether the last one's tau^K is finite.
+def _K_driver(path: NoisePath, times: np.ndarray,
+              K_schedule: Sequence[float],
+              record: StoppingRecord) -> tuple[NoisePath, np.ndarray, bool]:
+    """The path that drives one row pasted over K, the row's K level at
+    each grid index, and whether the last level's tau^K is finite.
 
     The first level is entered at grid index 0, and level k+1 at the first
     grid time at or after tau^K of level k; tau^K of each level entered is
-    recorded.
+    recorded. The step into grid index n runs at the level of index n, so
+    the driver keeps a jump of step s when |z| <= the level at index s + 1:
+    each step holds the jumps truncate(path, K) gives it at its level. The
+    driver shares the path's surrogate.
     """
-    entries, at = [], 0
+    levels, at = np.empty(len(times)), 0
     for K in K_schedule:
-        entries.append((at, K, truncate(path, K)))
+        levels[at:] = K
         tau = record.tau_by_K[K] = first_large_jump(path, K)
         if math.isinf(tau) or K == K_schedule[-1]:
             break
         at = max(at, int(np.searchsorted(times, tau, side="left")))
         if at == len(times):
             break
-    return entries, math.isfinite(tau)
+    driver = truncate(path, K)
+    bounds = driver.jump_bounds()
+    stepped = slice(bounds[0], bounds[-1])   # a jump in no step is dropped
+    keep = np.zeros(len(driver.jump_sizes), dtype=bool)
+    keep[stepped] = (np.abs(driver.jump_sizes[stepped])
+                     <= np.repeat(levels[1:], np.diff(bounds)))
+    if not keep.all():
+        driver = driver.keep_jumps(keep)
+    return driver, levels, math.isfinite(tau)
 
 
 def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
@@ -616,17 +630,17 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     at the grid times before tau^K. So a row's N rises right after the step
     whose norm first exceeds N, its K rises right before the first step
     into a grid time at or after tau^K, and no level is solved twice. Each
-    row keeps its own levels, clamp radius and record; the row groups are
-    rebuilt only at steps where some row changes K. Past N_max, or past a
+    row keeps its own levels, clamp radius and record. Over K, each row's
+    driver is built once, before the pass, by _K_driver: in every step it
+    holds the jumps of truncate(path, K) at that step's K level, so the
+    rows go through _forward, the forward loop of solve_rows, with their
+    drivers fixed and only their radii raised. Past N_max, or past a
     finite tau^K of the last K, a row stays at that level and is
     cap_reached.
     """
-    if not paths:
-        raise SolverError("a batch needs at least one path")
+    # every path is checked against the setup before a driver is built
+    _check_batch(paths, setup)
     if K_schedule is not None:
-        # row_groups holds every row to this one measure, and checks every
-        # row's path against the setup at grid index 0, where each row
-        # enters its first level
         spec = paths[0].spec
         if not spec.symmetric:
             raise SolverError(
@@ -637,34 +651,19 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     n_steps, rows, times = setup.n_steps, len(paths), setup.times
     coeffs = np.zeros((rows, n_steps + 1, setup.basis.mode_count))
     norms = np.zeros((rows, n_steps + 1))
-    active_N = np.zeros((rows, n_steps + 1), dtype=int)
-    active_K = np.zeros((rows, n_steps + 1))
+    active_N = np.ones((rows, n_steps + 1), dtype=int)
+    active_K = np.full((rows, n_steps + 1), math.inf)  # over N alone
     records = [StoppingRecord() for _ in paths]
-    entering: dict[int, list] = {}   # grid index -> (row, K, driving path)
-    capped_K = []
-    for i, (path, record) in enumerate(zip(paths, records)):
-        if K_schedule is None:  # over N alone: one level, entered at 0
-            entries, capped = [(0, math.inf, path)], False
-        else:
-            entries, capped = _K_entries(path, times, K_schedule, record)
-        for at, K, driver in entries:
-            entering.setdefault(at, []).append((i, K, driver))
-        capped_K.append(capped)
-    drivers = list(paths)
-    level_K = np.zeros(rows)
+    drivers, capped_K = list(paths), [False] * rows
+    if K_schedule is not None:
+        for i, path in enumerate(paths):
+            drivers[i], active_K[i], capped_K[i] = _K_driver(
+                path, times, K_schedule, records[i])
     level_N = np.ones(rows, dtype=int)
     radius = np.full(rows, clamp_radius(1, setup.C_inf))
-    streams = _open_streams(paths)
-    state = ModeState.zero((rows, setup.basis.mode_count))
-    for n in range(n_steps + 1):
-        if n in entering:
-            for i, K, driver in entering[n]:
-                drivers[i], level_K[i] = driver, K
-            groups = row_groups(drivers, setup)
-        if n:
-            state = step(state, groups, n - 1, setup, radius, _draw(streams))
-            coeffs[:, n] = state.u
-            norms[:, n] = hr_norm_at(state, setup)
+    for n, state in enumerate(_forward(drivers, setup, radius), 1):
+        coeffs[:, n] = state.u
+        norms[:, n] = hr_norm_at(state, setup)
         over = norms[:, n] > level_N
         for i in np.flatnonzero(over) if over.any() else ():
             record = records[i]
@@ -677,7 +676,6 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
                     level_N[i] = N + 1
                     radius[i] = clamp_radius(N + 1, setup.C_inf)
         active_N[:, n] = level_N
-        active_K[:, n] = level_K
     trajectories = []
     for i, record in enumerate(records):
         record.tau_by_N.setdefault(int(level_N[i]), math.inf)

@@ -182,10 +182,11 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
                           spec: LevyMeasureSpec, R: int = 10_000,
                           base_seed: int = 7, T: float = 1.0,
                           n_steps: int = 20,
-                          t_checks: tuple[float, ...] = (0.25, 0.5, 1.0),
+                          t_checks: tuple[float, ...] | None = None,
                           corrupt: bool = False) -> EnsembleReport:
-    """Per-mode variances of the additive solution against the closed form,
-    plus statistically-zero cross-mode covariances.
+    """Per-mode variances of the additive solution against the closed form
+    at the check times (default T/4, T/2 and T, each read at its nearest
+    grid time), plus statistically-zero cross-mode covariances.
 
     Blocks of replicas are solved as the rows of one batch, unclamped; each
     row has the bytes solve_untruncated gives it, and the sums run in
@@ -194,6 +195,10 @@ def additive_linear_suite(basis: EigenBasis, gamma: float, r: float,
     if not spec.has_finite_variance:
         raise ValueError("the additive closed form needs a finite-variance "
                          "measure")
+    if t_checks is None:
+        t_checks = (T / 4, T / 2, T)
+    if not all(0.0 <= t <= T for t in t_checks):
+        raise ValueError(f"check times {t_checks} must lie in [0, T={T}]")
     setup = make_setup(basis, gamma, r, T, n_steps,
                        COEFFICIENT_PRESETS["additive"])
     m2 = spec.m2 * (2.0 if corrupt else 1.0)

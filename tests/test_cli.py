@@ -273,6 +273,35 @@ class TestCommands:
         assert "finite-variance" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_verify_additive_checks_at_fractions_of_T(self, tmp_path):
+        # the default check times are T/4, T/2 and T, not 0.25, 0.5 and 1
+        cfg = write_config(tmp_path, dict(BASE, T=0.8, n_steps=20,
+                                          coefficients="additive"))
+        out = tmp_path / "ver"
+        rc = main(["--config", str(cfg), "--seed", "3", "--out", str(out),
+                   "--replicas", "5", "--suite", "additive", "verify"])
+        assert rc in (0, 1)
+        names = [v["name"] for v in
+                 json.loads((out / "report.json").read_text())["verdicts"]]
+        times = {n.split("t=")[1] for n in names if "variance at" in n}
+        assert times == {"0.2", "0.4", "0.8"}
+
+    @pytest.mark.parametrize("noise,key", [
+        ({"variant": "atoms", "atoms": [[1, 0.5], [-1, 0.5]], "alpha": 1.5,
+          "cutoff": 0.3}, "alpha"),
+        ({"variant": "atoms", "atoms": [[1, 0.5], [-1, 0.5]],
+          "cutoff": 0.3}, "cutoff"),
+        ({"variant": "stable", "alpha": 1.0, "atoms": [[5, 1]]}, "atoms")])
+    def test_noise_key_of_the_other_variant_fatal(self, tmp_path, capsys,
+                                                  noise, key):
+        # such a key is rejected, not dropped from the run
+        cfg = write_config(tmp_path, dict(BASE, noise=noise))
+        out = tmp_path / "x"
+        rc = main(["--config", str(cfg), "--out", str(out), "simulate"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_suite_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE)
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"),

@@ -373,3 +373,9 @@ def test_validation():
     with pytest.raises(NoiseError, match="cutoff"):
         LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)),
                         cutoff=0.5)
+    # a field of the other variant is an error, not ignored
+    with pytest.raises(NoiseError, match="alpha"):
+        LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5),), alpha=1.5)
+    with pytest.raises(NoiseError, match="atoms"):
+        LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01,
+                        atoms=((5.0, 1.0),))

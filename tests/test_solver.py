@@ -695,6 +695,58 @@ class TestBatchedPasting:
 STABLE = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
 
 
+class TestKDrivers:
+    """Each row pasted over K is driven by one path, built before the pass,
+    whose every step holds the jumps of truncate(path, K) at that step's K
+    level."""
+
+    def test_paste_rows_groups_the_rows_once(self, basis, monkeypatch):
+        calls = []
+        groups = fswe.solver.row_groups
+
+        def counted(paths, setup):
+            calls.append(len(paths))
+            return groups(paths, setup)
+
+        monkeypatch.setattr(fswe.solver, "row_groups", counted)
+        setup = setup_for(basis, "wave", n_steps=50)
+        paths = [path_for(basis, s, spec=STABLE) for s in range(8)]
+        pasted = paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
+        assert calls == [8]
+        assert any(len(t.stopping.tau_by_K) > 1 for t in pasted)
+
+    def test_each_step_holds_the_truncated_jumps_of_its_level(self, basis):
+        setup = setup_for(basis, "wave", n_steps=30)
+        spec = LevyMeasureSpec(variant="stable", alpha=0.8, cutoff=0.01)
+        K_schedule = (0.25, 0.5, 1.0, 2.0)
+        sampled = [sample_path(spec, 1.0, 30, s,
+                               cells_per_dim=basis.grid_size - 1)
+                   for s in range(16)]
+        # zeroed futures, and a path object given to two rows
+        paths = sampled + [zero_after(p, 0.05) for p in sampled[::3]] \
+            + [sampled[11]]
+        pasted = paste_rows(paths, setup, K_schedule, N_max=3)
+        entered = set()
+        for path, traj in zip(paths, pasted):
+            record = fswe.solver.StoppingRecord()
+            driver, levels, capped = fswe.solver._K_driver(
+                path, setup.times, K_schedule, record)
+            assert driver.surrogate is path.surrogate
+            assert levels.tobytes() == traj.active_K.tobytes()
+            assert record.tau_by_K == traj.stopping.tau_by_K
+            assert capped == math.isfinite(record.tau_by_K[levels[-1]])
+            entered.add(len(set(levels.tolist())))
+            bounds = driver.jump_bounds()
+            for s in range(setup.n_steps):
+                ref = truncate(path, levels[s + 1])
+                lo, hi = ref.jump_bounds()[s:s + 2]
+                for name in ("jump_times", "jump_positions", "jump_sizes"):
+                    assert (getattr(driver, name)[bounds[s]:bounds[s + 1]]
+                            .tobytes()
+                            == getattr(ref, name)[lo:hi].tobytes()), (s, name)
+        assert entered == {1, 2, 3, 4}
+
+
 class TestPathChecks:
     # each bad path breaks one match with setup_for(basis, ...): 50 steps on
     # [0, 1], d=1, one surrogate cell per grid interval (256)
@@ -702,6 +754,8 @@ class TestPathChecks:
         (1.0, 50, 256, 2, "dimension"),
         (1.0, 40, 256, 1, "partition"),
         (2.0, 50, 256, 1, "partition"),
+        (1.0 + 1e-13, 50, 256, 1, "partition"),   # T must match exactly
+        (1.0, 80, 256, 1, "partition"),   # checked before a driver is built
         (1.0, 50, 128, 1, "surrogate cells")])
     @pytest.mark.parametrize("solve", ["solve_rows", "paste_over_N",
                                        "paste_over_K"])

@@ -98,6 +98,19 @@ class TestAdditiveSuite:
         with pytest.raises(ValueError, match="finite-variance"):
             additive_linear_suite(build_basis(1, 4), 2.0, 1.0, STABLE, R=10)
 
+    @pytest.mark.parametrize("t_checks", [(0.5, 1.0 + 1e-9), (-0.1,)])
+    def test_rejects_check_times_outside_the_horizon(self, t_checks):
+        with pytest.raises(ValueError, match="check times"):
+            additive_linear_suite(build_basis(1, 4), 2.0, 1.0, RADEMACHER,
+                                  R=10, t_checks=t_checks)
+
+    def test_default_check_times_at_T_1(self):
+        # T/4, T/2 and T are bitwise 0.25, 0.5 and 1.0 at T = 1
+        basis = build_basis(1, 4)
+        explicit = additive_linear_suite(basis, 2.0, 1.0, RADEMACHER, R=5,
+                                         t_checks=(0.25, 0.5, 1.0))
+        default = additive_linear_suite(basis, 2.0, 1.0, RADEMACHER, R=5)
+        assert explicit.to_dict() == default.to_dict()
 
     def test_report_does_not_depend_on_block_size(self, monkeypatch):
         # one block of 40 replicas against blocks of 7, each replica
