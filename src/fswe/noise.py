@@ -15,7 +15,7 @@ import csv
 import functools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,8 +142,8 @@ class GaussianSurrogate:
     path's generator right after the jump draws; the increments of the
     steps from live_steps on are zero (see zero_after). Only the generator
     state is held, so no whole-path array exists unless full() builds it.
-    Equality and hashing are by identity: a solve keys the one row stream
-    it opens per surrogate on the object.
+    Every consumer draws through surrogate_blocks. Equality and hashing
+    are by identity: a solve draws each surrogate object once.
     """
 
     state: dict               # bit-generator state after the jump draws
@@ -156,20 +156,70 @@ class GaussianSurrogate:
         """Number of values drawn for the whole path."""
         return self.shape[0] * self.shape[1]
 
-    def rows(self) -> Iterator[np.ndarray]:
-        """The increments of steps 0 .. live_steps - 1, one (n_cells,) row
-        per step, each drawn when it is asked for."""
+    def generator(self) -> np.random.Generator:
+        """The stream of the increments: a generator at the state right
+        after the path's jump draws."""
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.state
-        for _ in range(self.live_steps):
-            yield self.std * rng.standard_normal(self.shape[1])
+        return rng
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """The increments of steps 0 .. live_steps - 1, one (n_cells,) row
+        per step."""
+        for _, _, block in surrogate_blocks([self]):
+            yield from block[0].copy()
 
     def full(self) -> np.ndarray:
         """The whole (n_steps, n_cells) array of rows(), zero after them."""
         out = np.zeros(self.shape)
-        for n, row in enumerate(self.rows()):
-            out[n] = row
+        for steps, _, block in surrogate_blocks([self]):
+            out[steps.start:steps.stop] = block[0]
         return out
+
+
+# Values of one surrogate drawn at once: a block of whole steps, at least
+# one, so about 8 kB per surrogate in d=1 and one step in d=2.
+SURROGATE_BLOCK_VALUES = 1024
+
+
+def surrogate_blocks(surrogates: Sequence[GaussianSurrogate]
+                     ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """The one draw rule of surrogate increments, for surrogates of one
+    shape: surrogate i's steps are drawn from its generator() a block of
+    steps at a time, with one standard_normal into its own slot of one
+    (surrogates, steps, n_cells) array, scaled by its std in place. The
+    values are bitwise those of one (n_steps, n_cells) draw.
+
+    Yields (steps, live, block) for consecutive ranges of steps from 0 to
+    the last live step: block[i] holds the increments of those steps for
+    every surrogate i with live[i], and stale values for the others. A
+    block holds at most SURROGATE_BLOCK_VALUES values per surrogate (but
+    at least one step) and ends at every live_steps, so a surrogate is
+    live in a whole block or in none of it; the blocks up to the same
+    live_steps share one live array. The array is reused: a block is valid
+    until the next one is drawn.
+    """
+    n_cells = surrogates[0].shape[1]
+    per = max(1, SURROGATE_BLOCK_VALUES // n_cells)
+    lives = np.array([s.live_steps for s in surrogates])
+    stds = np.array([s.std for s in surrogates])
+    streams = [s.generator() for s in surrogates]
+    buffer = np.empty((len(surrogates), min(per, lives.max()), n_cells))
+    lo = 0
+    for edge in sorted(set(lives.tolist())):
+        # no live_steps lies between lo and edge: one live set up to edge
+        live = lives >= edge
+        drawn = np.flatnonzero(live)
+        # a stale slot is scaled by 1, which leaves it unchanged
+        scale = np.where(live, stds, 1.0)[:, None, None]
+        while lo < edge:
+            hi = min(lo + per, edge)
+            block = buffer[:, :hi - lo]
+            for i in drawn:
+                streams[i].standard_normal(out=block[i])
+            block *= scale
+            yield range(lo, hi), live, block
+            lo = hi
 
 
 @dataclass(frozen=True)
@@ -381,6 +431,9 @@ def spec_from_dict(d: dict) -> LevyMeasureSpec:
     a key of the other variant is an error, not dropped."""
     d = dict(d)
     if d.get("variant") == "atoms":
+        if "atoms" not in d:
+            raise NoiseError("an atom measure needs its atoms: a list of "
+                             "[z, rate] pairs")
         d["atoms"] = tuple(tuple(a) for a in d["atoms"])
     elif d.get("variant") == "stable":
         d.setdefault("cutoff", DEFAULT_STABLE_CUTOFF)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis, embedding_constant
-from .noise import NoisePath, first_large_jump, grid_times, truncate
+from .noise import (NoisePath, first_large_jump, grid_times,
+                    surrogate_blocks, truncate)
 
 
 class SolverError(ValueError):
@@ -249,7 +250,8 @@ def hr_norm_at(state: ModeState, setup: SolveSetup):
 
 def _check_batch(paths: Sequence[NoisePath], setup: SolveSetup) -> None:
     """Raise SolverError unless the batch has a path and every path matches
-    the setup and the first path's Levy measure."""
+    the setup and the first path's Levy measure, with its jumps in the
+    closed unit box: step evaluates the modes at them unchecked."""
     if not paths:
         raise SolverError("a batch needs at least one path")
     b = setup.basis
@@ -265,6 +267,9 @@ def _check_batch(paths: Sequence[NoisePath], setup: SolveSetup) -> None:
                 "path surrogate cells do not match the quadrature grid")
         if path.spec != paths[0].spec:
             raise SolverError("the rows of a batch must share one Levy measure")
+        positions = path.jump_positions
+        if np.any(positions < 0.0) or np.any(positions > 1.0):
+            raise SolverError("jump positions must lie in the closed unit box")
 
 
 @dataclass(frozen=True)
@@ -330,17 +335,18 @@ def _field_rows(u: np.ndarray, radius: np.ndarray) -> tuple:
 
 def step(state: ModeState, groups: Sequence[RowGroup], n: int,
          setup: SolveSetup, radius: np.ndarray,
-         noise: dict) -> ModeState:
+         surrogate: tuple | None) -> ModeState:
     """Advance every row from grid time t_n to t_n+1 (setup.times) with
     left-point evaluation.
 
     The state arrays have shape (rows, M), and each group's path drives the
     group's rows with the jumps jump_bounds assigns to step n. Row i clamps
     the argument of b and sigma at +-radius[i] (inf: not at all).
-    ``noise`` maps each live surrogate to its step-n row (see _forward);
-    a row whose path's surrogate is absent gets no surrogate term. Every
-    product is a stack of one-row products, so a row gets the same bytes
-    in any batch, alone included.
+    ``surrogate`` is (rows, dW): the rows that a surrogate drives in step
+    n and their increments, dW[i] the one of row rows[i] (see
+    _surrogate_rows); None when none does. Every product is a stack of
+    one-row products, so a row gets the same bytes in any batch, alone
+    included.
 
     Every coefficient is evaluated through _coefficient. One that ignores
     its argument reads no field: its drift or compensator projection is
@@ -394,7 +400,8 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         # one mode and phase table for every jump, a bucket's columns
         # consecutive and group by group
         spans = [span for bucket in buckets.values() for span in bucket]
-        modes = bas.evaluate_modes(np.concatenate(
+        # positions checked once per batch by _check_batch
+        modes = bas.modes_at(np.concatenate(
             [g.path.jump_positions[lo:hi] for g, lo, hi in spans]))
         phase = np.outer(omega, np.concatenate(
             [g.path.jump_times[lo:hi] for g, lo, hi in spans]))
@@ -433,15 +440,9 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         Mc -= m1 * dt * cos_t[n] * comp
         Ms -= m1 * dt * sin_t[n] * comp
 
-    live = [g for g in groups if g.path.surrogate in noise]
-    if live:
+    if surrogate is not None:
         # every surrogate-driven row in one stacked projection
-        if len(live) == 1:
-            rows, dW = live[0].rows, noise[live[0].path.surrogate]
-        else:
-            rows = np.concatenate([g.index for g in live])
-            dW = np.repeat(np.stack([noise[g.path.surrogate] for g in live]),
-                           [len(g.index) for g in live], axis=0)
+        rows, dW = surrogate
         sig = _coefficient(
             pair.sigma, lambda: bas.synthesize(u[rows, None], "cells")[:, 0],
             r[rows])
@@ -502,20 +503,48 @@ def _forward(paths: Sequence[NoisePath], setup: SolveSetup,
     the one forward loop of solve_rows and paste_rows. Row i is driven by
     paths[i] and clamped at radius[i]; radius is read at every step, so
     the caller may raise a row's radius between yields.
-
-    One row stream is opened per distinct surrogate object and advanced
-    once per grid step, whatever rows it drives: truncate and _K_driver
-    share a path's surrogate, so every K level of a path reads one stream.
     """
     groups = row_groups(paths, setup)
-    streams = {s: s.rows() for s in dict.fromkeys(p.surrogate for p in paths)
-               if s is not None}
     state = ModeState.zero((len(paths), setup.basis.mode_count))
-    for n in range(setup.n_steps):
-        noise = {s: row for s, stream in streams.items()
-                 if (row := next(stream, None)) is not None}
-        state = step(state, groups, n, setup, radius, noise)
+    for n, surrogate in enumerate(_surrogate_rows(paths, setup.n_steps)):
+        state = step(state, groups, n, setup, radius, surrogate)
         yield state
+
+
+def _surrogate_rows(paths: Sequence[NoisePath],
+                    n_steps: int) -> Iterator[tuple | None]:
+    """step's surrogate argument at each grid step: (rows, dW), the rows
+    whose surrogate is live, in row order, and one (n_cells,) increment
+    each; None when no surrogate is live.
+
+    Each distinct surrogate object is drawn once, by noise.surrogate_blocks,
+    whatever rows it drives: truncate and _K_driver share a path's
+    surrogate, so every K level of a path reads one stream. When each live
+    surrogate drives one row, dW is a view of the block; otherwise the
+    block is gathered into row order once per block.
+    """
+    surrogates = list(dict.fromkeys(
+        p.surrogate for p in paths if p.surrogate is not None))
+    slot_of = {s: i for i, s in enumerate(surrogates)}
+    slots = np.array([slot_of.get(p.surrogate, -1) for p in paths])
+    blocks = surrogate_blocks(surrogates) if surrogates else ()
+    n, seen = 0, None
+    for steps, live, block in blocks:
+        if live is not seen:   # the live set changes only at a live_steps
+            seen = live
+            # slot -1, a row with no surrogate, reads a live flag it discards
+            rows = np.flatnonzero((slots >= 0) & live[slots])
+            which = slots[rows]
+            gather = which.tolist() != list(range(len(surrogates)))
+            if rows[-1] - rows[0] + 1 == len(rows):
+                rows = slice(rows[0], rows[-1] + 1)
+        if gather:
+            block = block[which]
+        for j in range(len(steps)):
+            yield rows, block[:, j]
+        n = steps.stop
+    for _ in range(n, n_steps):
+        yield None
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,16 @@ class TestCommands:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_atoms_noise_without_atoms_fatal(self, tmp_path, capsys):
+        # a config error (exit 2 with a message), not a traceback (exit 1)
+        cfg = write_config(tmp_path, dict(BASE, noise={"variant": "atoms"}))
+        out = tmp_path / "x"
+        rc = main(["--config", str(cfg), "--out", str(out), "simulate"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "atoms" in err
+        assert not out.exists()
+
     def test_unknown_suite_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE)
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "x"),

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fswe.basis import build_basis
-from fswe.noise import (LevyMeasureSpec, NoiseError, first_large_jump,
-                        integrate_step_field, sample_path, spec_from_dict,
-                        spec_to_dict, truncate, zero_after)
+from fswe.noise import (SURROGATE_BLOCK_VALUES, LevyMeasureSpec, NoiseError,
+                        first_large_jump, integrate_step_field, sample_path,
+                        spec_from_dict, spec_to_dict, surrogate_blocks,
+                        truncate, zero_after)
 from fswe.solver import COEFFICIENT_PRESETS, make_setup, solve_untruncated
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
@@ -154,6 +155,37 @@ class TestGaussianSurrogate:
                                       expected[:10])
         assert not cut.surrogate.full()[10:].any()
         assert len(list(cut.surrogate.rows())) == 10
+
+    def test_blocks_are_the_whole_path_draw(self):
+        # 16 cells: a block holds up to 64 steps, and ends at every
+        # live_steps of the surrogates drawn together
+        n_steps, cells = 100, 16
+        per = SURROGATE_BLOCK_VALUES // cells
+        paths = [sample_path(CAUCHY_LIKE, 1.0, n_steps, s, cells_per_dim=cells)
+                 for s in range(3)]
+        surrogates = [paths[0].surrogate, zero_after(paths[1], 0.3).surrogate,
+                      zero_after(paths[2], 0.0).surrogate]
+        lives = [s.live_steps for s in surrogates]
+        assert lives == [100, 30, 0]
+        expected = []
+        for s in surrogates:
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = s.state
+            expected.append(s.std * rng.standard_normal((n_steps, cells)))
+        seen = []
+        for steps, live, block in surrogate_blocks(surrogates):
+            seen.append((steps.start, steps.stop))
+            assert block.shape == (3, len(steps), cells)
+            np.testing.assert_array_equal(
+                live, [steps.stop <= n for n in lives])
+            for i in np.flatnonzero(live):
+                assert block[i].tobytes() == expected[i][steps].tobytes()
+        assert seen == [(0, 30), (30, 30 + per), (30 + per, 100)]
+        # d=2: 64 x 64 cells, one step per block
+        path = sample_path(CAUCHY_LIKE, 1.0, 5, 1, cells_per_dim=64,
+                           dimension=2)
+        assert [len(steps) for steps, _, _ in
+                surrogate_blocks([path.surrogate])] == [1] * 5
 
     def test_truncate_shares_the_surrogate(self):
         path = sample_path(CAUCHY_LIKE, 1.0, 10, 3, cells_per_dim=4)

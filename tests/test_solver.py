@@ -138,7 +138,8 @@ def _kernel_arguments(pair, peaks, N, C_inf):
         path_for(basis, 0, n_steps=1), jump_times=np.zeros(1),
         jump_positions=np.full((1, 1), 0.5), jump_sizes=np.ones(1))
     radius = np.full(len(peaks), clamp_radius(N, C_inf))
-    step(state, row_groups([path] * len(peaks), setup), 0, setup, radius, {})
+    step(state, row_groups([path] * len(peaks), setup), 0, setup, radius,
+         None)
     return basis.synthesize(state.u), {name: calls[-1]
                                        for name, calls in seen.items()}
 
@@ -563,6 +564,150 @@ class TestBatchedRows:
         assert len(traj.stopping.tau_by_K) == 4   # every K level entered
         assert peak < path.surrogate.full().nbytes
 
+    def test_d1_ensemble_paste_allocates_blocks_not_paths(self):
+        # 16 stable paths on 512 cells at the ensemble's shape: the blocks
+        # of the 16 surrogates take 128 kB, their whole paths 6.6 MB
+        basis = build_basis(1, 128)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 100,
+                           COEFFICIENT_PRESETS["constant"])
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        paths = [sample_path(spec, 1.0, 100, s,
+                             cells_per_dim=basis.cells_per_dim)
+                 for s in range(16)]
+        # the setup's tables and the basis's cell table are built once
+        paste_rows(paths[:1], setup, (1.0, 2.0, 4.0, 8.0))
+        tracemalloc.start()
+        try:
+            pasted = paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(t.coeffs.nbytes + t.hr_norms.nbytes
+                      + t.active_N.nbytes + t.active_K.nbytes
+                      for t in pasted)
+        # about 0.6 MB besides the outputs; blocks of 4096 values per
+        # surrogate would pass 0.8 MB, two paths' whole surrogates
+        assert peak - outputs < 2 * paths[0].surrogate.size * 8, \
+            (peak, outputs)
+
+
+def _recorded_surrogates(monkeypatch):
+    """Record step's surrogate argument at every call, as (n, rows, dW)
+    with rows an index array and dW copied."""
+    calls = []
+    step = fswe.solver.step
+
+    def recording(state, groups, n, setup, radius, surrogate):
+        if surrogate is not None:
+            rows, dW = surrogate
+            rows = np.arange(len(state.u))[rows]
+            calls.append((n, rows, np.array(dW)))
+        return step(state, groups, n, setup, radius, surrogate)
+
+    monkeypatch.setattr(fswe.solver, "step", recording)
+    return calls
+
+
+def _whole_path_draw(surrogate):
+    """The (n_steps, n_cells) draw of a surrogate, zero from live_steps on,
+    written out: one standard_normal call from its generator state."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = surrogate.state
+    values = surrogate.std * rng.standard_normal(surrogate.shape)
+    values[surrogate.live_steps:] = 0.0
+    return values
+
+
+class TestSurrogateBlocks:
+    """The solver draws each surrogate a block of steps at a time, and
+    step gets each row's increment of the step in row order: bitwise the
+    row of the whole-path draw."""
+
+    def _check(self, paths, setup, calls):
+        # row i reads its path's whole-path draw at every live step, and is
+        # absent from the rows of every other step
+        draws = {id(p.surrogate): _whole_path_draw(p.surrogate)
+                 for p in paths if p.surrogate is not None}
+        assert [n for n, _, _ in calls] == sorted({n for n, _, _ in calls})
+        seen = np.zeros((len(paths), setup.n_steps), dtype=bool)
+        for n, rows, dW in calls:
+            assert (np.diff(rows) > 0).all()     # row order
+            assert dW.shape == (len(rows), setup.basis.cell_count)
+            for row, values in zip(rows, dW):
+                draw = draws[id(paths[row].surrogate)]
+                assert values.tobytes() == draw[n].tobytes(), (n, row)
+                seen[row, n] = True
+        for i, p in enumerate(paths):
+            live = 0 if p.surrogate is None else p.surrogate.live_steps
+            assert seen[i].tolist() == [n < live
+                                        for n in range(setup.n_steps)], i
+
+    def test_d1_blocks_with_cuts_and_shared_surrogates(self, monkeypatch):
+        # 16 cells: a block holds up to 64 of the 100 steps; the cut at 0.3
+        # ends a block inside the first 64 steps, and three truncations of
+        # one path share its surrogate with a row of another path between
+        basis = build_basis(1, 4, grid_size=17)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 100, WAVE)
+        assert 1 < fswe.noise.SURROGATE_BLOCK_VALUES // basis.cell_count \
+            < setup.n_steps
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        drawn = [sample_path(spec, 1.0, 100, s, cells_per_dim=16)
+                 for s in range(3)]
+        cut = zero_after(drawn[1], 0.3)
+        paths = [truncate(drawn[0], 0.05), cut, truncate(drawn[0], 0.2),
+                 sample_path(RADEMACHER, 1.0, 100, 7, cells_per_dim=16),
+                 drawn[0], drawn[2]]
+        paths = [dataclasses.replace(p, spec=spec) for p in paths]
+        assert cut.surrogate.live_steps == 30
+        calls = _recorded_surrogates(monkeypatch)
+        radius = np.full(len(paths), clamp_radius(2, setup.C_inf))
+        norms, coeffs = solve_rows(paths, setup, radius, keep=slice(None))
+        self._check(paths, setup, calls)
+        monkeypatch.undo()
+        for i, p in enumerate(paths):
+            lone = solve_truncated(2, p, setup)
+            assert coeffs[i].tobytes() == lone.coeffs.tobytes(), i
+            assert norms[i].tobytes() == lone.hr_norms.tobytes(), i
+
+    def test_one_row_per_surrogate_reads_a_view(self, monkeypatch):
+        # the ensemble's case: every row its own live surrogate, in order
+        basis = build_basis(1, 4, grid_size=17)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 20,
+                           COEFFICIENT_PRESETS["constant"])
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        paths = [sample_path(spec, 1.0, 20, s, cells_per_dim=16)
+                 for s in range(4)]
+        views = []
+        for rows, dW in fswe.solver._surrogate_rows(paths, setup.n_steps):
+            assert rows == slice(0, 4)
+            views.append(dW.base is not None)
+        assert all(views) and len(views) == 20
+        calls = _recorded_surrogates(monkeypatch)
+        paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
+        self._check(paths, setup, calls)
+
+    def test_d2_blocks_are_one_step(self, monkeypatch):
+        basis = build_basis(2, 9, grid_size=33)
+        assert basis.cell_count >= fswe.noise.SURROGATE_BLOCK_VALUES
+        setup = make_setup(basis, 3.0, 1.5, 1.0, 10, WAVE)
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        drawn = [sample_path(spec, 1.0, 10, s, cells_per_dim=32,
+                             dimension=2) for s in range(2)]
+        paths = [drawn[0], zero_after(drawn[1], 0.45), truncate(drawn[0], 0.1)]
+        blocks = []
+        surrogate_blocks = fswe.solver.surrogate_blocks
+
+        def recorded(surrogates):
+            for steps, live, block in surrogate_blocks(surrogates):
+                blocks.append(len(steps))
+                yield steps, live, block
+
+        monkeypatch.setattr(fswe.solver, "surrogate_blocks", recorded)
+        calls = _recorded_surrogates(monkeypatch)
+        paste_rows(paths, setup, (1.0, 2.0, 4.0), N_max=2)
+        assert blocks == [1] * setup.n_steps
+        self._check(paths, setup, calls)
+
 
 def _assert_same_record(new, old):
     for name in ("tau_by_N", "tau_brackets", "tau_by_K", "cap_reached"):
@@ -650,15 +795,15 @@ class TestBatchedPasting:
 
     def test_rows_share_a_surrogate_stream(self, basis, monkeypatch):
         # truncations of one path share its surrogate object: the batch
-        # opens one stream for them and advances it once per grid step
+        # opens one generator for them and draws each step once
         opened = []
-        rows = GaussianSurrogate.rows
+        generator = GaussianSurrogate.generator
 
         def counted(self):
             opened.append(self)
-            return rows(self)
+            return generator(self)
 
-        monkeypatch.setattr(GaussianSurrogate, "rows", counted)
+        monkeypatch.setattr(GaussianSurrogate, "generator", counted)
         spec = LevyMeasureSpec(variant="stable", alpha=0.8, cutoff=0.01)
         setup = setup_for(basis, "wave", n_steps=30)
         path = sample_path(spec, 1.0, 30, 3,
@@ -775,6 +920,35 @@ class TestPathChecks:
                            else (1.0, 2.0, 4.0), N_max=3)
 
 
+    @pytest.mark.parametrize("position", [-0.25, 1.5])
+    @pytest.mark.parametrize("solve", ["solve_rows", "paste_over_N",
+                                       "paste_over_K"])
+    def test_jump_positions_in_the_unit_box(self, basis, position, solve):
+        # step evaluates the modes at the jumps unchecked: the batch check
+        # rejects a jump outside the closed box before any step
+        setup = setup_for(basis, "wave")
+        good = sample_path(STABLE, 1.0, 50, 2, cells_per_dim=256)
+        bad = sample_path(STABLE, 1.0, 50, 1, cells_per_dim=256)
+        positions = bad.jump_positions.copy()
+        positions[len(positions) // 2] = position
+        bad = dataclasses.replace(bad, jump_positions=positions)
+        with pytest.raises(SolverError, match="unit box"):
+            if solve == "solve_rows":
+                solve_rows([good, bad], setup, None)
+            else:
+                paste_rows([good, bad], setup,
+                           None if solve == "paste_over_N"
+                           else (1.0, 2.0, 4.0), N_max=3)
+
+    def test_jumps_on_the_box_boundary_are_accepted(self, basis):
+        setup = setup_for(basis, "wave")
+        path = sample_path(STABLE, 1.0, 50, 1, cells_per_dim=256)
+        positions = path.jump_positions.copy()
+        positions[:2] = [[0.0], [1.0]]
+        solve_rows([dataclasses.replace(path, jump_positions=positions)],
+                   setup, None)
+
+
 class TestCoefficientRule:
     """step synthesizes the grid field at most once, shared by the drift
     and the compensator, and no field for a coefficient that ignores its
@@ -839,7 +1013,7 @@ def _jump_step(d, preset, shapes, seed=3, n=2):
     state = ModeState(n * setup.dt, *rng.normal(size=(5, rows, M)))
     radius = np.where(rng.uniform(size=rows) < 0.5, np.inf,
                       clamp_radius(1, setup.C_inf) * 0.05)
-    new = step(state, row_groups(row_paths, setup), n, setup, radius, {})
+    new = step(state, row_groups(row_paths, setup), n, setup, radius, None)
     return setup, state, row_paths, radius, new
 
 
@@ -1024,7 +1198,7 @@ class TestGridTimes:
         state = ModeState.zero((1, basis.mode_count))
         groups = row_groups([path], setup)
         for n in range(49):
-            state = step(state, groups, n, setup, np.array([np.inf]), {})
+            state = step(state, groups, n, setup, np.array([np.inf]), None)
             assert state.t == setup.times[n + 1]
         assert state.t == 1.0
 
@@ -1064,11 +1238,11 @@ def _field_step(d, preset, spec, u, radius, seed=5, n=2):
     accumulators = rng.normal(size=(4,) + u.shape)
     state = ModeState(n * setup.dt, *accumulators, u=u)
     new = step(state, row_groups([path] * len(u), setup), n, setup, radius,
-               {})
+               None)
     arguments = {name: list(calls) for name, calls in seen.items()}
     lone = [step(ModeState(n * setup.dt, *accumulators[:, i:i + 1],
                            u=u[i:i + 1]),
-                 row_groups([path], setup), n, setup, radius[i:i + 1], {})
+                 row_groups([path], setup), n, setup, radius[i:i + 1], None)
             for i in range(len(u))]
     return new, lone, arguments
 

@@ -1,0 +1,195 @@
+"""Interleaved in-process A/B timing of two fswe checkouts.
+
+    python3 tools/ab_inprocess.py --a ../parent --b . \\
+        --workload d1_stable_ensemble --pairs 40
+
+Each checkout's ``src/fswe`` is loaded into this one process, as the
+packages ``fswe_a`` and ``fswe_b`` (the package imports itself only by
+relative imports, so two copies live side by side). The benchmark's three
+workload shapes are rebuilt here from the public API:
+
+- ``d1_tail_suite``: ``verify.check_tail_bound`` with d=1, M=16, gamma=2,
+  r=1, 100 steps, b=sin, sigma=cos, Rademacher atoms, N in (1, 2, 4, 8,
+  16) and 20 replicas;
+- ``d1_stable_ensemble``: ``fswe ensemble --replicas 16 --workers 1`` on
+  d=1, M=128, 100 steps, ``constant``, stable alpha=1 with cutoff 0.01, K
+  schedule [1, 2, 4, 8] and N_max 8;
+- ``d2_stable_simulate``: ``fswe simulate`` on d=2, M=64, gamma=3, r=1.5,
+  50 steps and the same noise.
+
+Before timing, both sides run two fixed seeds and must give byte-identical
+outputs (CLI files byte for byte, ``runtime_seconds`` of ``summary.json``
+aside). Pair p then runs one call of each side on seed ``seed + p``, A
+first in even pairs and B first in odd ones. The script prints the median
+of the per-pair time ratios A/B with its quartiles (above 1: B is faster)
+and the number of pairs that B won. Interleaving in one process cancels
+most host-speed drift, so it resolves moves of a few percent that separate
+benchmark runs do not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import importlib
+import importlib.util
+import io
+import json
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+WORKLOADS = ("d1_tail_suite", "d1_stable_ensemble", "d2_stable_simulate")
+CHECK_SEEDS = (11, 12)
+
+_STABLE = {"variant": "stable", "alpha": 1.0, "cutoff": 0.01}
+_CONFIGS = {
+    "d1_stable_ensemble": dict(dimension=1, modes=128, gamma=2.0, r=1.0,
+                               n_steps=100),
+    "d2_stable_simulate": dict(dimension=2, modes=64, gamma=3.0, r=1.5,
+                               n_steps=50),
+}
+
+
+def load_package(checkout: Path, name: str):
+    """Import ``checkout/src/fswe`` under the top-level name ``name``."""
+    root = Path(checkout).resolve() / "src" / "fswe"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)])
+    if spec is None:
+        raise SystemExit(f"no fswe package under {checkout}")
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class TailSuite:
+    """check_tail_bound at criterion 07's shape; its output is the
+    report's verdicts."""
+
+    def __init__(self, fswe):
+        self.fswe = fswe
+        pair = fswe.CoefficientPair(np.sin, np.cos, 1.0, 1.0, "wave")
+        self.setup = fswe.make_setup(fswe.build_basis(1, 16), 2.0, 1.0, 1.0,
+                                     100, pair)
+        self.spec = fswe.LevyMeasureSpec(variant="atoms",
+                                         atoms=((1.0, 0.5), (-1.0, 0.5)))
+
+    def __call__(self, seed: int):
+        return self.fswe.check_tail_bound(self.setup, self.spec,
+                                          N_values=(1, 2, 4, 8, 16), R=20,
+                                          base_seed=seed)
+
+    @staticmethod
+    def output(report) -> bytes:
+        return repr(report.to_dict()).encode()
+
+
+class CliRun:
+    """One in-process ``fswe`` CLI call on a stable config; its output is
+    the bytes of every file it writes."""
+
+    def __init__(self, fswe, work: Path, name: str):
+        self.cli = importlib.import_module(fswe.__name__ + ".cli")
+        config = dict(_CONFIGS[name], T=1.0, coefficients="constant",
+                      noise=_STABLE, N_max=8, K_schedule=[1.0, 2.0, 4.0, 8.0])
+        self.config = work / f"{name}.json"
+        self.config.write_text(json.dumps(config))
+        self.out = work / "out"
+        self.command = (["--replicas", "16", "--workers", "1", "ensemble"]
+                        if name == "d1_stable_ensemble" else ["simulate"])
+
+    def __call__(self, seed: int):
+        shutil.rmtree(self.out, ignore_errors=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = self.cli.main(["--config", str(self.config), "--seed",
+                                str(seed), "--out", str(self.out)]
+                               + self.command)
+        if rc != 0:
+            raise SystemExit(f"fswe exited with status {rc}")
+        return self.out
+
+    @staticmethod
+    def output(out: Path) -> bytes:
+        parts = []
+        for f in sorted(out.iterdir()):
+            data = f.read_bytes()
+            if f.name == "summary.json":
+                summary = json.loads(data)
+                summary.pop("runtime_seconds", None)
+                data = json.dumps(summary, sort_keys=True).encode()
+            parts += [f.name.encode(), data]
+        return b"\0".join(parts)
+
+
+def make_workload(name: str, fswe, work: Path):
+    if name == "d1_tail_suite":
+        return TailSuite(fswe)
+    work.mkdir(parents=True)
+    return CliRun(fswe, work, name)
+
+
+def timed(run, seed: int) -> float:
+    gc.collect()
+    t0 = time.perf_counter()
+    run(seed)
+    return time.perf_counter() - t0
+
+
+def compare(packages, workload: str, pairs: int, seed: int) -> dict:
+    """Check the outputs of the two packages (A, B) on CHECK_SEEDS, then
+    time ``pairs`` alternating pairs; print and return the summary."""
+    with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as tmp:
+        runs = [make_workload(workload, fswe, Path(tmp) / fswe.__name__)
+                for fswe in packages]
+        for s in CHECK_SEEDS:
+            outputs = [run.output(run(s)) for run in runs]
+            if outputs[0] != outputs[1]:
+                raise SystemExit(f"{workload}: outputs differ at seed {s}")
+        ratios = []
+        for p in range(pairs):
+            order = (0, 1) if p % 2 == 0 else (1, 0)
+            t = [0.0, 0.0]
+            for side in order:
+                t[side] = timed(runs[side], seed + p)
+            ratios.append(t[0] / t[1])
+    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                      if pairs > 1 else ratios * 3)
+    result = {"workload": workload, "pairs": pairs, "median": median,
+              "q1": q1, "q3": q3, "b_won": sum(r > 1.0 for r in ratios)}
+    print(f"{workload}: outputs byte-identical on seeds {CHECK_SEEDS}; "
+          f"time ratio A/B median {median:.3f} [{q1:.3f}, {q3:.3f}], "
+          f"B faster in {result['b_won']} of {pairs} pairs")
+    return result
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--a", type=Path, required=True,
+                   help="checkout A (the baseline)")
+    p.add_argument("--b", type=Path, required=True,
+                   help="checkout B (the change)")
+    p.add_argument("--workload", choices=WORKLOADS, action="append",
+                   help="workload to time (repeatable; default all three)")
+    p.add_argument("--pairs", type=int, default=40)
+    p.add_argument("--seed", type=int, default=1000,
+                   help="seed of the first pair")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    packages = (load_package(args.a, "fswe_a"),
+                load_package(args.b, "fswe_b"))
+    for workload in args.workload or WORKLOADS:
+        compare(packages, workload, args.pairs, args.seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
