@@ -15,6 +15,11 @@ import numpy as np
 
 DEFAULT_MIN_GRID = 257
 
+# Modes per product of EigenBasis.analyze_block in d=1. On a 16 x 512 tile
+# at M=128, two 64-mode products took 58 us against 67 us for one, and
+# touched about 0.3 MB less of OpenBLAS's buffers (2 threads).
+PANEL_MODES = 64
+
 
 class BasisError(ValueError):
     pass
@@ -161,6 +166,22 @@ class EigenBasis:
         n1 = S.shape[1]
         V = np.reshape(v, v.shape[:-1] + (n1, n1))
         return (S @ V @ S.T)[(...,) + self._pair_index]
+
+    def analyze_block(self, v: np.ndarray, where: str,
+                      out: np.ndarray) -> np.ndarray:
+        """analyze of the rows of a 2-D v, written into out, shape (rows,
+        M). In d=1 this is one matrix product v @ S.T per panel of
+        PANEL_MODES modes, whose row bytes differ from analyze's and can
+        depend on the row count: a caller that needs bytes independent of
+        the batch fixes the count. In d=2 it is analyze itself."""
+        if self.dimension == 1:
+            ST = self._sine_table(where).T
+            for k in range(0, self.mode_count, PANEL_MODES):
+                panel = slice(k, k + PANEL_MODES)
+                np.matmul(v, ST[:, panel], out=out[:, panel])
+            return out
+        out[...] = self.analyze(v, where)
+        return out
 
     # ---- cells (between grid nodes), used for the Gaussian noise surrogate ----
 

@@ -142,8 +142,9 @@ class GaussianSurrogate:
     path's generator right after the jump draws; the increments of the
     steps from live_steps on are zero (see zero_after). Only the generator
     state is held, so no whole-path array exists unless full() builds it.
-    Every consumer draws through surrogate_blocks. Equality and hashing
-    are by identity: a solve draws each surrogate object once.
+    Every consumer draws through surrogate_blocks or surrogate_tiles,
+    which draw the same values. Equality and hashing are by identity: a
+    solve draws each surrogate object once.
     """
 
     state: dict               # bit-generator state after the jump draws
@@ -158,8 +159,10 @@ class GaussianSurrogate:
 
     def generator(self) -> np.random.Generator:
         """The stream of the increments: a generator at the state right
-        after the path's jump draws."""
-        rng = np.random.Generator(np.random.PCG64())
+        after the path's jump draws. The bit generator is seeded with a
+        fixed seed, which takes about half the time of OS entropy, and its
+        state is overwritten at once."""
+        rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = self.state
         return rng
 
@@ -220,6 +223,47 @@ def surrogate_blocks(surrogates: Sequence[GaussianSurrogate]
             block *= scale
             yield range(lo, hi), live, block
             lo = hi
+
+
+# Values of one surrogate in one tile of surrogate_tiles: the tile height
+# is the most whole steps that fit, at least one, so 16 steps on 512 cells
+# and one step on 256 x 256. The solver projects a tile with one product
+# whose row bytes depend on its height, so the height follows from the
+# cell count alone, never from a batch.
+SURROGATE_TILE_VALUES = 8192
+
+
+def tile_height(n_cells: int) -> int:
+    """Steps per tile of surrogate_tiles on n_cells cells."""
+    return max(1, SURROGATE_TILE_VALUES // n_cells)
+
+
+def surrogate_tiles(surrogates: Sequence[GaussianSurrogate]
+                    ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The increments of surrogates of one shape in tiles of a fixed
+    height, tile_height(n_cells) steps, aligned at multiples of it from
+    step 0.
+
+    For each tile up to the last live step, and each surrogate i live at
+    its first step lo, yields (lo, i, tile): tile, shape (height,
+    n_cells), holds the surrogate's steps lo .. lo + height - 1, zero at
+    and past its live_steps. The values are drawn as surrogate_blocks
+    draws them, from the surrogate's generator() in step order with one
+    standard_normal per tile, scaled by its std in place: bitwise one
+    (n_steps, n_cells) draw. One array holds every tile, so a tile is
+    valid until the next one is drawn.
+    """
+    height = tile_height(surrogates[0].shape[1])
+    streams = [s.generator() for s in surrogates]
+    tile = np.empty((height, surrogates[0].shape[1]))
+    for lo in range(0, max(s.live_steps for s in surrogates), height):
+        for i, s in enumerate(surrogates):
+            live = min(s.live_steps - lo, height)
+            if live > 0:
+                streams[i].standard_normal(out=tile[:live])
+                tile[:live] *= s.std
+                tile[live:] = 0.0
+                yield lo, i, tile
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,20 @@ step start (left-point rule), the discrete counterpart of predictability.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import EigenBasis, embedding_constant
-from .noise import (NoisePath, first_large_jump, grid_times,
-                    surrogate_blocks, truncate)
+from .noise import (GaussianSurrogate, NoisePath, first_large_jump,
+                    grid_times, surrogate_blocks, surrogate_tiles,
+                    tile_height, truncate)
 
 
 class SolverError(ValueError):
@@ -89,6 +93,12 @@ def clamp_radius(N: int, C_inf: float) -> float:
 
 # the value of each coefficient that ignores its argument
 _CONSTANTS = {f: float(f(0.0)) for f in (_zero, _one)}
+
+
+def _constant(f) -> float | None:
+    """The value of a coefficient that ignores its argument (_zero, _one)
+    as a Python float; None for one that reads it."""
+    return _CONSTANTS[f] if f is _zero or f is _one else None
 
 
 def _coefficient(f, field, radius: np.ndarray) -> np.ndarray | float:
@@ -169,11 +179,11 @@ class SolveSetup:
 
     def _constant_projection(self, f) -> np.ndarray | None:
         """analyze(quad_weights * f), shape (M,) and read-only, when f
-        ignores its argument (_zero, _one); None otherwise."""
-        if f is not _zero and f is not _one:
+        ignores its argument (_constant); None otherwise."""
+        value = _constant(f)
+        if value is None:
             return None
-        projection = self.basis.analyze(self.basis.quad_weights
-                                        * _CONSTANTS[f])
+        projection = self.basis.analyze(self.basis.quad_weights * value)
         projection.flags.writeable = False
         return projection
 
@@ -342,11 +352,13 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     The state arrays have shape (rows, M), and each group's path drives the
     group's rows with the jumps jump_bounds assigns to step n. Row i clamps
     the argument of b and sigma at +-radius[i] (inf: not at all).
-    ``surrogate`` is (rows, dW): the rows that a surrogate drives in step
-    n and their increments, dW[i] the one of row rows[i] (see
-    _surrogate_rows); None when none does. Every product is a stack of
-    one-row products, so a row gets the same bytes in any batch, alone
-    included.
+    ``surrogate`` is (rows, values): the rows that a surrogate drives in
+    step n and one value row each, values[i] that of row rows[i] (see
+    _surrogate_rows); None when none does. The values are the increments
+    dW when sigma reads the state, and the projections sigma * analyze(dW)
+    when it does not. Every product is a stack of one-row products, or a
+    product of one surrogate's tile of fixed height (_projected_blocks), so
+    a row gets the same bytes in any batch, alone included.
 
     Every coefficient is evaluated through _coefficient. One that ignores
     its argument reads no field: its drift or compensator projection is
@@ -356,11 +368,8 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     rows bitwise equal to the first one, as every row is until its path's
     first jump when b(0) = 0, share one evaluation, and each reads the
     bytes it computes alone. A zero row has norm 0, so no tau_N rests on
-    the sharing. The groups with jumps in the step are bucketed by (jump
-    count, rows per group): each bucket evaluates sigma at its jumps and
-    scatters them into Mc and Ms with one stacked product each, whose items
-    are the one-row products a row gets alone, a group's jump tables
-    broadcast over its rows.
+    the sharing. The jumps enter through _scatter_jumps when sigma reads
+    the state and through _add_jump_sums when it does not.
     """
     bas = setup.basis
     pair = setup.pair
@@ -389,51 +398,13 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         A = A + dt * cos_t[n] * beta
         B = B + dt * sin_t[n] * beta
 
-    # the step's jumps of every group, bucketed by (jump count, rows)
-    buckets: dict[tuple[int, int], list] = {}
-    for g in groups:
-        lo, hi = g.jump_bounds[n], g.jump_bounds[n + 1]
-        if hi > lo:
-            buckets.setdefault((hi - lo, len(g.index)), []).append(
-                (g, lo, hi))
-    if buckets:
-        # one mode and phase table for every jump, a bucket's columns
-        # consecutive and group by group
-        spans = [span for bucket in buckets.values() for span in bucket]
-        # positions checked once per batch by _check_batch
-        modes = bas.modes_at(np.concatenate(
-            [g.path.jump_positions[lo:hi] for g, lo, hi in spans]))
-        phase = np.outer(omega, np.concatenate(
-            [g.path.jump_times[lo:hi] for g, lo, hi in spans]))
-        cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
-        end = 0
-        M = bas.mode_count
-        for (J, k), bucket in buckets.items():
-            G = len(bucket)
-            cols = slice(end, end + J * G)
-            end = cols.stop
-
-            def blocks(table):
-                # (groups, 1, M, J): each group's own contiguous (M, J)
-                # block, as a strided operand can change a product's bytes
-                return np.ascontiguousarray(
-                    table[:, cols].reshape(M, G, J).transpose(1, 0, 2))[:, None]
-
-            # the bucket's rows, group by group; a lone group indexes its
-            # rows as a view when they are contiguous, not by a gather
-            rows = (bucket[0][0].rows if G == 1
-                    else np.concatenate([g.index for g, _, _ in bucket]))
-            sig = _coefficient(   # field frozen at t0, shape (rows, J)
-                pair.sigma,
-                lambda: (u[rows].reshape(G, k, 1, M)
-                         @ blocks(modes)).reshape(-1, J),
-                r[rows])
-            sizes = np.concatenate(
-                [g.path.jump_sizes[lo:hi] for g, lo, hi in bucket])
-            w = (sig * np.repeat(sizes.reshape(G, J), k, axis=0)
-                 ).reshape(G, k, J, 1)
-            Mc[rows] += (blocks(cos_modes) @ w).reshape(-1, M)
-            Ms[rows] += (blocks(sin_modes) @ w).reshape(-1, M)
+    sigma = _constant(pair.sigma)
+    if sigma is None:
+        _scatter_jumps(Mc, Ms, u, r, groups, n, setup)
+    elif sigma != 0.0:
+        # sigma = 0: its jumps would add +-0, which leaves the +0 of Mc
+        # and Ms in a solve as it is
+        _add_jump_sums(Mc, Ms, groups, n, setup, sigma)
 
     if compensates:
         # compensator of asymmetric finite-activity jumps, left-point rule
@@ -441,12 +412,16 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         Ms -= m1 * dt * sin_t[n] * comp
 
     if surrogate is not None:
-        # every surrogate-driven row in one stacked projection
-        rows, dW = surrogate
-        sig = _coefficient(
-            pair.sigma, lambda: bas.synthesize(u[rows, None], "cells")[:, 0],
-            r[rows])
-        proj = bas.analyze(sig * dW, "cells")
+        # every surrogate-driven row in one stacked projection, unless
+        # _surrogate_rows projected the increments already
+        rows, proj = surrogate
+        if sigma is None:
+            dW = proj
+            sig = _coefficient(
+                pair.sigma,
+                lambda: bas.synthesize(u[rows, None], "cells")[:, 0],
+                r[rows])
+            proj = bas.analyze(sig * dW, "cells")
         Mc[rows] += cos_t[n] * proj
         Ms[rows] += sin_t[n] * proj
 
@@ -454,6 +429,104 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
                     mart_cos=Mc, mart_sin=Ms, u=u)
     new.u = new.rebuild_u(omega, cos_t[n + 1], sin_t[n + 1])
     return new
+
+
+def _step_jumps(groups: Sequence[RowGroup], n: int) -> list[tuple]:
+    """(group, lo, hi) for each group with jumps lo .. hi - 1 in step n."""
+    spans = []
+    for g in groups:
+        lo, hi = g.jump_bounds[n], g.jump_bounds[n + 1]
+        if hi > lo:
+            spans.append((g, lo, hi))
+    return spans
+
+
+def _scatter_jumps(Mc: np.ndarray, Ms: np.ndarray, u: np.ndarray,
+                   r: np.ndarray, groups: Sequence[RowGroup], n: int,
+                   setup: SolveSetup) -> None:
+    """Add the jumps of step n to Mc and Ms in place, sigma read at each
+    jump on the field frozen at t_n.
+
+    The groups with jumps in the step are bucketed by (jump count, rows per
+    group): each bucket evaluates sigma at its jumps and scatters them into
+    Mc and Ms with one stacked product each, whose items are the one-row
+    products a row gets alone, a group's jump tables broadcast over its
+    rows.
+    """
+    buckets: dict[tuple[int, int], list] = {}
+    for g, lo, hi in _step_jumps(groups, n):
+        buckets.setdefault((hi - lo, len(g.index)), []).append((g, lo, hi))
+    if not buckets:
+        return
+    bas = setup.basis
+    # one mode and phase table for every jump, a bucket's columns
+    # consecutive and group by group
+    spans = [span for bucket in buckets.values() for span in bucket]
+    # positions checked once per batch by _check_batch
+    modes = bas.modes_at(np.concatenate(
+        [g.path.jump_positions[lo:hi] for g, lo, hi in spans]))
+    phase = np.outer(setup.omega, np.concatenate(
+        [g.path.jump_times[lo:hi] for g, lo, hi in spans]))
+    cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
+    end = 0
+    M = bas.mode_count
+    for (J, k), bucket in buckets.items():
+        G = len(bucket)
+        cols = slice(end, end + J * G)
+        end = cols.stop
+
+        def blocks(table):
+            # (groups, 1, M, J): each group's own contiguous (M, J)
+            # block, as a strided operand can change a product's bytes
+            return np.ascontiguousarray(
+                table[:, cols].reshape(M, G, J).transpose(1, 0, 2))[:, None]
+
+        # the bucket's rows, group by group; a lone group indexes its
+        # rows as a view when they are contiguous, not by a gather
+        rows = (bucket[0][0].rows if G == 1
+                else np.concatenate([g.index for g, _, _ in bucket]))
+        sig = _coefficient(   # field frozen at t0, shape (rows, J)
+            setup.pair.sigma,
+            lambda: (u[rows].reshape(G, k, 1, M)
+                     @ blocks(modes)).reshape(-1, J),
+            r[rows])
+        sizes = np.concatenate(
+            [g.path.jump_sizes[lo:hi] for g, lo, hi in bucket])
+        w = (sig * np.repeat(sizes.reshape(G, J), k, axis=0)
+             ).reshape(G, k, J, 1)
+        Mc[rows] += (blocks(cos_modes) @ w).reshape(-1, M)
+        Ms[rows] += (blocks(sin_modes) @ w).reshape(-1, M)
+
+
+def _add_jump_sums(Mc: np.ndarray, Ms: np.ndarray,
+                   groups: Sequence[RowGroup], n: int, setup: SolveSetup,
+                   sigma: float) -> None:
+    """Add the jumps of step n to Mc and Ms in place when sigma is the
+    constant ``sigma``: each group's sum over its jumps of
+    (cos(omega t_j) e(x_j)) (sigma z_j), and the same with sin, added to
+    every row of the group.
+
+    One mode and phase table serves every group's jumps, one row per jump.
+    np.add.reduceat sums each group's rows in an order set by their count
+    alone, so a group's sums do not depend on the other groups, and a
+    group with one jump in the step adds its one product.
+    """
+    spans = _step_jumps(groups, n)
+    if not spans:
+        return
+    # positions checked once per batch by _check_batch
+    modes = setup.basis.modes_at(np.concatenate(
+        [g.path.jump_positions[lo:hi] for g, lo, hi in spans])).T
+    phase = np.outer(np.concatenate(
+        [g.path.jump_times[lo:hi] for g, lo, hi in spans]), setup.omega)
+    w = sigma * np.concatenate(
+        [g.path.jump_sizes[lo:hi] for g, lo, hi in spans])[:, None]
+    starts = np.cumsum([0] + [hi - lo for _, lo, hi in spans[:-1]])
+    rows = np.concatenate([g.index for g, _, _ in spans])
+    counts = [len(g.index) for g, _, _ in spans]
+    for acc, trig in ((Mc, np.cos), (Ms, np.sin)):
+        sums = np.add.reduceat(trig(phase) * modes * w, starts, axis=0)
+        acc[rows] += np.repeat(sums, counts, axis=0)
 
 
 # Float64 values one batched solve may hold: its rows times the grid
@@ -506,28 +579,38 @@ def _forward(paths: Sequence[NoisePath], setup: SolveSetup,
     """
     groups = row_groups(paths, setup)
     state = ModeState.zero((len(paths), setup.basis.mode_count))
-    for n, surrogate in enumerate(_surrogate_rows(paths, setup.n_steps)):
+    for n, surrogate in enumerate(_surrogate_rows(paths, setup)):
         state = step(state, groups, n, setup, radius, surrogate)
         yield state
 
 
 def _surrogate_rows(paths: Sequence[NoisePath],
-                    n_steps: int) -> Iterator[tuple | None]:
-    """step's surrogate argument at each grid step: (rows, dW), the rows
-    whose surrogate is live, in row order, and one (n_cells,) increment
-    each; None when no surrogate is live.
+                    setup: SolveSetup) -> Iterator[tuple | None]:
+    """step's surrogate argument at each grid step: (rows, values), the
+    rows whose surrogate is live, in row order, and one value row each;
+    None when no surrogate is live.
 
-    Each distinct surrogate object is drawn once, by noise.surrogate_blocks,
-    whatever rows it drives: truncate and _K_driver share a path's
+    When sigma reads the state, the values are the increments dW, one
+    (n_cells,) row each, drawn by noise.surrogate_blocks. When it does not
+    (_constant), they are their projections sigma * analyze(dW), one (M,)
+    row each, made by _projected_blocks; sigma = 0 draws nothing and
+    yields None at every step. Each distinct surrogate object is drawn
+    once, whatever rows it drives: truncate and _K_driver share a path's
     surrogate, so every K level of a path reads one stream. When each live
-    surrogate drives one row, dW is a view of the block; otherwise the
-    block is gathered into row order once per block.
+    surrogate drives one row, the values are a view of the block;
+    otherwise the block is gathered into row order once per block.
     """
     surrogates = list(dict.fromkeys(
         p.surrogate for p in paths if p.surrogate is not None))
     slot_of = {s: i for i, s in enumerate(surrogates)}
     slots = np.array([slot_of.get(p.surrogate, -1) for p in paths])
-    blocks = surrogate_blocks(surrogates) if surrogates else ()
+    sigma = _constant(setup.pair.sigma)
+    if not surrogates or sigma == 0.0:
+        blocks = ()
+    elif sigma is None:
+        blocks = surrogate_blocks(surrogates)
+    else:
+        blocks = _projected_blocks(surrogates, setup.basis, sigma)
     n, seen = 0, None
     for steps, live, block in blocks:
         if live is not seen:   # the live set changes only at a live_steps
@@ -543,8 +626,41 @@ def _surrogate_rows(paths: Sequence[NoisePath],
         for j in range(len(steps)):
             yield rows, block[:, j]
         n = steps.stop
-    for _ in range(n, n_steps):
+    for _ in range(n, setup.n_steps):
         yield None
+
+
+def _projected_blocks(surrogates: Sequence[GaussianSurrogate],
+                      basis: EigenBasis, sigma: float
+                      ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """surrogate_blocks' (steps, live, block) for the constant sigma, each
+    increment dW replaced by its projection sigma * analyze(dW) on the
+    cells, shape (M,).
+
+    Each tile of noise.surrogate_tiles is projected with one product,
+    basis.analyze_block, into its surrogate's slot of one (surrogates,
+    height, M) array. The tile height follows from the cell count alone,
+    so a row's bytes do not depend on the batch. A tile is cut at every
+    live_steps inside it, so, as in surrogate_blocks, a surrogate is live
+    in a whole block or in none of it, and the blocks up to the same
+    live_steps share one live array.
+    """
+    lives = np.array([s.live_steps for s in surrogates])
+    edges = sorted(set(lives.tolist()))
+    live_at = {edge: lives >= edge for edge in edges}
+    height = tile_height(basis.cell_count)
+    feed = np.empty((len(surrogates), height, basis.mode_count))
+    for lo, tiles in itertools.groupby(surrogate_tiles(surrogates),
+                                       key=operator.itemgetter(0)):
+        for _, i, tile in tiles:
+            basis.analyze_block(tile, "cells", out=feed[i])
+            if sigma != 1.0:
+                feed[i] *= sigma
+        hi = min(lo + height, edges[-1])
+        cuts = [lo] + [e for e in edges if lo < e < hi] + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            edge = edges[bisect.bisect_left(edges, b)]
+            yield range(a, b), live_at[edge], feed[:, a - lo:b - lo]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Smoke test of tools/ab_inprocess.py: a checkout against itself."""
+"""Tests of tools/ab_inprocess.py: a checkout against itself, and the
+report of outputs that differ."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +28,36 @@ def test_checkout_against_itself(capsys):
     assert result["pairs"] == 2 and 0 <= result["b_won"] <= 2
     assert result["q1"] <= result["median"] <= result["q3"]
     assert "byte-identical" in capsys.readouterr().out
+
+
+def test_relative_difference_pairs_the_numbers():
+    tool = _tool()
+    a = b"t,u_0\n0.0,1.0\n0.5,-2e-3\n"
+    assert tool.relative_difference(a, a) == 0.0
+    diff = tool.relative_difference(a, b"t,u_0\n0.0,1.0\n0.5,-2.000002e-3\n")
+    assert diff == pytest.approx(1e-6, rel=1e-5)
+    assert tool.relative_difference(b"inf,nan", b"inf,nan") == 0.0
+    assert tool.relative_difference(a, a + b"1.0\n") is None
+
+
+def test_differing_outputs_name_the_file(monkeypatch):
+    tool = _tool()
+    packages = (tool.load_package(ROOT, "fswe_a"),
+                tool.load_package(ROOT, "fswe_b"))
+    suite = packages[1].check_tail_bound
+
+    def perturbed(*args, **kwargs):
+        # B's largest observed value moves by one part in 1e6
+        report = suite(*args, **kwargs)
+        verdict = max(report.verdicts, key=lambda v: abs(v.observed))
+        verdict.observed *= 1.0 + 1e-6
+        return report
+
+    monkeypatch.setattr(packages[1], "check_tail_bound", perturbed)
+    with pytest.raises(SystemExit) as stopped:
+        tool.compare(packages, "d1_tail_suite", pairs=2, seed=5)
+    message = str(stopped.value.code)
+    assert message.startswith("d1_tail_suite: outputs differ at seed 11")
+    assert "first differing file report" in message
+    worst = float(message.split("largest relative difference ")[1].split(",")[0])
+    assert worst == pytest.approx(1e-6, rel=1e-3)

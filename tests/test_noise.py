@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fswe.basis import build_basis
-from fswe.noise import (SURROGATE_BLOCK_VALUES, LevyMeasureSpec, NoiseError,
-                        first_large_jump, integrate_step_field, sample_path,
-                        spec_from_dict, spec_to_dict, surrogate_blocks,
-                        truncate, zero_after)
+from fswe.noise import (SURROGATE_BLOCK_VALUES, SURROGATE_TILE_VALUES,
+                        LevyMeasureSpec, NoiseError, first_large_jump,
+                        integrate_step_field, sample_path, spec_from_dict,
+                        spec_to_dict, surrogate_blocks, surrogate_tiles,
+                        tile_height, truncate, zero_after)
 from fswe.solver import COEFFICIENT_PRESETS, make_setup, solve_untruncated
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
@@ -186,6 +187,52 @@ class TestGaussianSurrogate:
                            dimension=2)
         assert [len(steps) for steps, _, _ in
                 surrogate_blocks([path.surrogate])] == [1] * 5
+
+    def test_tiles_are_the_whole_path_draw(self):
+        # 512 cells: tiles of 16 steps from step 0, the cut at step 20
+        # inside the second; a surrogate is drawn only in the tiles where
+        # it is live, and is zero from its live_steps on
+        n_steps, cells = 40, 512
+        height = tile_height(cells)
+        assert height == SURROGATE_TILE_VALUES // cells == 16
+        paths = [sample_path(CAUCHY_LIKE, 1.0, n_steps, s, cells_per_dim=cells)
+                 for s in range(3)]
+        surrogates = [paths[0].surrogate, zero_after(paths[1], 0.5).surrogate,
+                      zero_after(paths[2], 0.0).surrogate]
+        assert [s.live_steps for s in surrogates] == [40, 20, 0]
+        expected = []
+        for s in surrogates:
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = s.state
+            values = np.zeros((48, cells))
+            values[:s.live_steps] = s.std * rng.standard_normal(
+                (n_steps, cells))[:s.live_steps]
+            expected.append(values)
+        seen = []
+        for lo, i, tile in surrogate_tiles(surrogates):
+            seen.append((lo, i))
+            assert tile.shape == (height, cells)
+            assert tile.tobytes() == expected[i][lo:lo + height].tobytes()
+        assert seen == [(0, 0), (0, 1), (16, 0), (16, 1), (32, 0)]
+        # d=2: 64 x 64 cells, tiles of two steps; 256 x 256, of one
+        path = sample_path(CAUCHY_LIKE, 1.0, 5, 1, cells_per_dim=64,
+                           dimension=2)
+        assert [lo for lo, _, _ in surrogate_tiles([path.surrogate])] \
+            == [0, 2, 4]
+        assert tile_height(256 * 256) == 1
+
+    def test_generator_is_the_stored_stream(self):
+        # generator() seeds its bit generator from a fixed SeedSequence and
+        # overwrites the state: its draws are those of any generator set
+        # to the stored state, and each call starts the stream anew
+        sur = sample_path(CAUCHY_LIKE, 1.0, 10, 4, cells_per_dim=8).surrogate
+        reference = np.random.Generator(np.random.PCG64())
+        reference.bit_generator.state = sur.state
+        expected = reference.standard_normal(200)
+        first, second = sur.generator(), sur.generator()
+        assert first.bit_generator.state == sur.state
+        assert first.standard_normal(200).tobytes() == expected.tobytes()
+        assert second.standard_normal(200).tobytes() == expected.tobytes()
 
     def test_truncate_shares_the_surrogate(self):
         path = sample_path(CAUCHY_LIKE, 1.0, 10, 3, cells_per_dim=4)

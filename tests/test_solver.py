@@ -618,29 +618,32 @@ def _whole_path_draw(surrogate):
     return values
 
 
-class TestSurrogateBlocks:
-    """The solver draws each surrogate a block of steps at a time, and
-    step gets each row's increment of the step in row order: bitwise the
-    row of the whole-path draw."""
+def _check_surrogate_rows(paths, setup, calls, expected=_whole_path_draw):
+    """Row i reads expected(its surrogate)[n] bitwise at every live step n
+    of that surrogate, in row order, and is absent from the rows of every
+    other step."""
+    draws = {id(p.surrogate): expected(p.surrogate)
+             for p in paths if p.surrogate is not None}
+    width = next(iter(draws.values())).shape[1]
+    assert [n for n, _, _ in calls] == sorted({n for n, _, _ in calls})
+    seen = np.zeros((len(paths), setup.n_steps), dtype=bool)
+    for n, rows, values_of_rows in calls:
+        assert (np.diff(rows) > 0).all()     # row order
+        assert values_of_rows.shape == (len(rows), width)
+        for row, values in zip(rows, values_of_rows):
+            draw = draws[id(paths[row].surrogate)]
+            assert values.tobytes() == draw[n].tobytes(), (n, row)
+            seen[row, n] = True
+    for i, p in enumerate(paths):
+        live = 0 if p.surrogate is None else p.surrogate.live_steps
+        assert seen[i].tolist() == [n < live
+                                    for n in range(setup.n_steps)], i
 
-    def _check(self, paths, setup, calls):
-        # row i reads its path's whole-path draw at every live step, and is
-        # absent from the rows of every other step
-        draws = {id(p.surrogate): _whole_path_draw(p.surrogate)
-                 for p in paths if p.surrogate is not None}
-        assert [n for n, _, _ in calls] == sorted({n for n, _, _ in calls})
-        seen = np.zeros((len(paths), setup.n_steps), dtype=bool)
-        for n, rows, dW in calls:
-            assert (np.diff(rows) > 0).all()     # row order
-            assert dW.shape == (len(rows), setup.basis.cell_count)
-            for row, values in zip(rows, dW):
-                draw = draws[id(paths[row].surrogate)]
-                assert values.tobytes() == draw[n].tobytes(), (n, row)
-                seen[row, n] = True
-        for i, p in enumerate(paths):
-            live = 0 if p.surrogate is None else p.surrogate.live_steps
-            assert seen[i].tolist() == [n < live
-                                        for n in range(setup.n_steps)], i
+
+class TestSurrogateBlocks:
+    """When sigma reads the state, the solver draws each surrogate a block
+    of steps at a time, and step gets each row's increment of the step in
+    row order: bitwise the row of the whole-path draw."""
 
     def test_d1_blocks_with_cuts_and_shared_surrogates(self, monkeypatch):
         # 16 cells: a block holds up to 64 of the 100 steps; the cut at 0.3
@@ -662,7 +665,7 @@ class TestSurrogateBlocks:
         calls = _recorded_surrogates(monkeypatch)
         radius = np.full(len(paths), clamp_radius(2, setup.C_inf))
         norms, coeffs = solve_rows(paths, setup, radius, keep=slice(None))
-        self._check(paths, setup, calls)
+        _check_surrogate_rows(paths, setup, calls)
         monkeypatch.undo()
         for i, p in enumerate(paths):
             lone = solve_truncated(2, p, setup)
@@ -670,21 +673,21 @@ class TestSurrogateBlocks:
             assert norms[i].tobytes() == lone.hr_norms.tobytes(), i
 
     def test_one_row_per_surrogate_reads_a_view(self, monkeypatch):
-        # the ensemble's case: every row its own live surrogate, in order
+        # the ensemble's case, with a sigma that reads the state: every row
+        # its own live surrogate, in order
         basis = build_basis(1, 4, grid_size=17)
-        setup = make_setup(basis, 2.0, 1.0, 1.0, 20,
-                           COEFFICIENT_PRESETS["constant"])
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 20, WAVE)
         spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
         paths = [sample_path(spec, 1.0, 20, s, cells_per_dim=16)
                  for s in range(4)]
         views = []
-        for rows, dW in fswe.solver._surrogate_rows(paths, setup.n_steps):
+        for rows, dW in fswe.solver._surrogate_rows(paths, setup):
             assert rows == slice(0, 4)
             views.append(dW.base is not None)
         assert all(views) and len(views) == 20
         calls = _recorded_surrogates(monkeypatch)
         paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
-        self._check(paths, setup, calls)
+        _check_surrogate_rows(paths, setup, calls)
 
     def test_d2_blocks_are_one_step(self, monkeypatch):
         basis = build_basis(2, 9, grid_size=33)
@@ -706,7 +709,150 @@ class TestSurrogateBlocks:
         calls = _recorded_surrogates(monkeypatch)
         paste_rows(paths, setup, (1.0, 2.0, 4.0), N_max=2)
         assert blocks == [1] * setup.n_steps
-        self._check(paths, setup, calls)
+        _check_surrogate_rows(paths, setup, calls)
+
+
+def _tile_products(basis):
+    """A surrogate's projected feed written out: its whole-path draw, zero
+    from live_steps on, cut into tiles of the fixed height from step 0,
+    each tile one product per panel of PANEL_MODES rows of the cell mode
+    table in d=1 and analyze row by row in d=2; shape (n_steps, M)."""
+    height = fswe.noise.tile_height(basis.cell_count)
+
+    def products(surrogate):
+        draw = _whole_path_draw(surrogate)
+        n_steps = len(draw)
+        tiles = np.zeros((-(-n_steps // height) * height, draw.shape[1]))
+        tiles[:n_steps] = draw
+        if basis.dimension == 1:
+            S = fswe.basis.sine_table(basis.kmax, basis.cell_centers_1d)
+            panels = range(0, basis.mode_count, fswe.basis.PANEL_MODES)
+            out = [np.hstack([
+                tiles[lo:lo + height] @ S[k:k + fswe.basis.PANEL_MODES].T
+                for k in panels]) for lo in range(0, len(tiles), height)]
+        else:
+            out = [basis.analyze(tiles[lo:lo + height], "cells")
+                   for lo in range(0, len(tiles), height)]
+        return np.concatenate(out)[:n_steps]
+
+    return products
+
+
+class TestProjectedSurrogate:
+    """When sigma ignores the state, step gets each row's surrogate term
+    already projected: one product per surrogate per tile of a fixed
+    height, and nothing at all for sigma = 0."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_feed_is_the_fixed_height_product(self, d, monkeypatch):
+        # d=1: 512 cells, tiles of 16 steps, a cut at step 20 inside the
+        # second tile; d=2: 32 x 32 cells, tiles of 8 steps, cut at step 5.
+        # Three truncations share one surrogate, a row has none.
+        if d == 1:
+            basis, n_steps, cut = build_basis(1, 128), 40, 0.5
+            setup = make_setup(basis, 2.0, 1.0, 1.0, n_steps,
+                               COEFFICIENT_PRESETS["constant"])
+        else:
+            basis, n_steps, cut = build_basis(2, 9, grid_size=33), 10, 0.5
+            setup = make_setup(basis, 3.0, 1.5, 1.0, n_steps,
+                               COEFFICIENT_PRESETS["additive"])
+        height = fswe.noise.tile_height(basis.cell_count)
+        assert height == (16 if d == 1 else 8)
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        drawn = [sample_path(spec, 1.0, n_steps, s, dimension=d,
+                             cells_per_dim=basis.cells_per_dim)
+                 for s in range(3)]
+        cut = zero_after(drawn[1], cut)
+        assert 0 < cut.surrogate.live_steps % height
+        atoms = sample_path(RADEMACHER, 1.0, n_steps, 7, dimension=d,
+                            cells_per_dim=basis.cells_per_dim)
+        paths = [truncate(drawn[0], 0.05), cut, truncate(drawn[0], 0.2),
+                 dataclasses.replace(atoms, spec=spec), drawn[0], drawn[2]]
+        calls = _recorded_surrogates(monkeypatch)
+        radius = np.full(len(paths), clamp_radius(2, setup.C_inf))
+        norms, coeffs = solve_rows(paths, setup, radius, keep=slice(None))
+        _check_surrogate_rows(paths, setup, calls, _tile_products(basis))
+        monkeypatch.undo()
+        for i, p in enumerate(paths):
+            lone = solve_truncated(2, p, setup)
+            assert coeffs[i].tobytes() == lone.coeffs.tobytes(), i
+            assert norms[i].tobytes() == lone.hr_norms.tobytes(), i
+        # the cut row keeps the bytes of its uncut path before the cut
+        live = cut.surrogate.live_steps
+        assert (coeffs[1, :live + 1].tobytes()
+                == solve_truncated(2, drawn[1], setup).coeffs[
+                    :live + 1].tobytes())
+
+    def test_one_product_per_tile_and_no_cell_analyze(self, monkeypatch):
+        # the ensemble's shape: 512 cells, tiles of 16 steps
+        basis = build_basis(1, 128)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 100,
+                           COEFFICIENT_PRESETS["constant"])
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        paths = [sample_path(spec, 1.0, 100, s,
+                             cells_per_dim=basis.cells_per_dim)
+                 for s in range(4)]
+        paths[1] = zero_after(paths[1], 0.37)
+        paths[2] = zero_after(paths[2], 0.0)
+        analyzed, products = [], []
+        EigenBasis = fswe.basis.EigenBasis
+        analyze, analyze_block = EigenBasis.analyze, EigenBasis.analyze_block
+
+        def counted(self, v, where="grid"):
+            analyzed.append(where)
+            return analyze(self, v, where)
+
+        def counted_block(self, v, where, out):
+            products.append(v.shape)
+            return analyze_block(self, v, where, out)
+
+        monkeypatch.setattr(EigenBasis, "analyze", counted)
+        monkeypatch.setattr(EigenBasis, "analyze_block", counted_block)
+        paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
+        height = fswe.noise.tile_height(basis.cell_count)
+        lives = [p.surrogate.live_steps for p in paths]
+        assert lives == [100, 37, 0, 100]
+        assert "cells" not in analyzed
+        assert products == [(height, basis.cell_count)] * sum(
+            -(-live // height) for live in lives)
+
+    @pytest.mark.parametrize("preset", ["zero", "drift_only"])
+    def test_zero_sigma_draws_and_adds_nothing(self, preset, monkeypatch):
+        # the jumps and the surrogate of sigma = 0 would add +-0 to +0:
+        # every row has the bytes of its path without noise
+        basis = build_basis(1, 16)
+        setup = make_setup(basis, 2.0, 1.0, 1.0, 30,
+                           COEFFICIENT_PRESETS[preset])
+        spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+        paths = [sample_path(spec, 1.0, 30, s,
+                             cells_per_dim=basis.cells_per_dim)
+                 for s in range(3)]
+        drawn = []
+        generator = GaussianSurrogate.generator
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                drawn.append(args or kwargs)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(GaussianSurrogate, "generator",
+                            lambda self: Counted(generator(self)))
+        pasted = paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
+        assert drawn == []
+        quiet = solve_untruncated(paths[0].keep_jumps(
+            np.zeros(len(paths[0].jump_times), dtype=bool), surrogate=None),
+            setup)
+        for t in pasted:
+            assert t.coeffs.tobytes() == quiet.coeffs.tobytes()
+        assert np.any(quiet.coeffs != 0.0) == (preset == "drift_only")
+        # the counting wrapper does see the draws of a sigma = 1 solve
+        paste_rows(paths, make_setup(basis, 2.0, 1.0, 1.0, 30,
+                                     COEFFICIENT_PRESETS["additive"]),
+                   (1.0, 2.0, 4.0, 8.0))
+        assert drawn
 
 
 def _assert_same_record(new, old):
@@ -1048,6 +1194,35 @@ class TestJumpScatter:
         assert new.mart_sin.tobytes() == Ms.tobytes()
         # the clamp and the jumps both did work, beside unclamped rows
         assert clamped and np.any(np.isinf(radius))
+        assert not np.array_equal(Mc, state.mart_cos)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("preset", ["constant", "additive"])
+    def test_constant_sigma_adds_each_groups_sum(self, d, preset):
+        # sigma = 1: a row gets np.add.reduceat of its own group's terms
+        # (cos(omega t) e(x)) z over the step's jumps, whatever the other
+        # groups; a lone jump adds the one product the bucketed scatter
+        # gave it
+        setup, state, row_paths, radius, new = _jump_step(d, preset,
+                                                          self.SHAPES)
+        n, Mc, Ms = 2, state.mart_cos.copy(), state.mart_sin.copy()
+        for i, path in enumerate(row_paths):
+            lo, hi = path.jump_bounds()[n:n + 2]
+            modes = setup.basis.evaluate_modes(path.jump_positions[lo:hi])
+            sums = []
+            for trig in (np.cos, np.sin):
+                terms = [trig(t * setup.omega) * e * z for t, e, z in zip(
+                    path.jump_times[lo:hi], modes.T, path.jump_sizes[lo:hi])]
+                total = np.add.reduceat(np.array(terms), [0], axis=0)[0]
+                sums.append(total)
+                if hi - lo == 1:
+                    phase = np.outer(setup.omega, path.jump_times[lo:hi])
+                    product = (trig(phase) * modes) @ path.jump_sizes[lo:hi]
+                    assert total.tobytes() == product.tobytes()
+            Mc[i] += sums[0]
+            Ms[i] += sums[1]
+        assert new.mart_cos.tobytes() == Mc.tobytes()
+        assert new.mart_sin.tobytes() == Ms.tobytes()
         assert not np.array_equal(Mc, state.mart_cos)
 
     @pytest.mark.parametrize("shapes, buckets", [

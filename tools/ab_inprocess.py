@@ -19,7 +19,10 @@ workload shapes are rebuilt here from the public API:
 
 Before timing, both sides run two fixed seeds and must give byte-identical
 outputs (CLI files byte for byte, ``runtime_seconds`` of ``summary.json``
-aside). Pair p then runs one call of each side on seed ``seed + p``, A
+aside). When they differ, the script names the first differing file and
+the largest relative difference between the numbers of the two sides, and
+exits with status 1 without timing; time a change that moves output bytes
+on purpose with perfbench's alternating runs instead. Pair p then runs one call of each side on seed ``seed + p``, A
 first in even pairs and B first in odd ones. The script prints the median
 of the per-pair time ratios A/B with its quartiles (above 1: B is faster)
 and the number of pairs that B won. Interleaving in one process cancels
@@ -36,6 +39,8 @@ import importlib
 import importlib.util
 import io
 import json
+import math
+import re
 import shutil
 import statistics
 import sys
@@ -88,8 +93,8 @@ class TailSuite:
                                           base_seed=seed)
 
     @staticmethod
-    def output(report) -> bytes:
-        return repr(report.to_dict()).encode()
+    def output(report) -> list[tuple[str, bytes]]:
+        return [("report", repr(report.to_dict()).encode())]
 
 
 class CliRun:
@@ -117,7 +122,7 @@ class CliRun:
         return self.out
 
     @staticmethod
-    def output(out: Path) -> bytes:
+    def output(out: Path) -> list[tuple[str, bytes]]:
         parts = []
         for f in sorted(out.iterdir()):
             data = f.read_bytes()
@@ -125,8 +130,53 @@ class CliRun:
                 summary = json.loads(data)
                 summary.pop("runtime_seconds", None)
                 data = json.dumps(summary, sort_keys=True).encode()
-            parts += [f.name.encode(), data]
-        return b"\0".join(parts)
+            parts.append((f.name, data))
+        return parts
+
+
+_NUMBER = re.compile(rb"[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def relative_difference(a: bytes, b: bytes) -> float | None:
+    """The largest |x - y| / max(|x|, |y|) over the numbers of a and b,
+    paired in order of appearance (0 where they are equal, NaN with NaN
+    included); None when a and b hold different counts of numbers."""
+    xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
+    if len(xs) != len(ys):
+        return None
+    largest = 0.0
+    for x, y in zip(map(float, xs), map(float, ys)):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        scale = max(abs(x), abs(y))
+        largest = max(largest, abs(x - y) / scale if math.isfinite(scale)
+                      else math.inf)
+    return largest
+
+
+def describe_difference(a: list[tuple[str, bytes]],
+                        b: list[tuple[str, bytes]]) -> str:
+    """Where the outputs a and b of one seed differ: the first file whose
+    bytes differ, and the largest relative difference over the files that
+    both sides wrote."""
+    names_a, names_b = [n for n, _ in a], [n for n, _ in b]
+    if names_a != names_b:
+        return (f"files differ: {sorted(set(names_a) ^ set(names_b))} "
+                f"written by one side only")
+    differing = [(name, x, y) for (name, x), (_, y) in zip(a, b) if x != y]
+    if not differing:
+        return "outputs are byte-identical"
+    worst, where = 0.0, None
+    for name, x, y in differing:
+        diff = relative_difference(x, y)
+        if diff is None:
+            return (f"first differing file {differing[0][0]}; "
+                    f"{name} holds different counts of numbers")
+        if diff >= worst:
+            worst, where = diff, name
+    return (f"first differing file {differing[0][0]} (of "
+            f"{len(differing)}); largest relative difference {worst:.3g}, "
+            f"in {where}")
 
 
 def make_workload(name: str, fswe, work: Path):
@@ -152,7 +202,8 @@ def compare(packages, workload: str, pairs: int, seed: int) -> dict:
         for s in CHECK_SEEDS:
             outputs = [run.output(run(s)) for run in runs]
             if outputs[0] != outputs[1]:
-                raise SystemExit(f"{workload}: outputs differ at seed {s}")
+                raise SystemExit(f"{workload}: outputs differ at seed {s}: "
+                                 + describe_difference(*outputs))
         ratios = []
         for p in range(pairs):
             order = (0, 1) if p % 2 == 0 else (1, 0)
