@@ -142,9 +142,8 @@ class GaussianSurrogate:
     path's generator right after the jump draws; the increments of the
     steps from live_steps on are zero (see zero_after). Only the generator
     state is held, so no whole-path array exists unless full() builds it.
-    Every consumer draws through surrogate_blocks or surrogate_tiles,
-    which draw the same values. Equality and hashing are by identity: a
-    solve draws each surrogate object once.
+    Every consumer draws through surrogate_tiles. Equality and hashing are
+    by identity: a solve draws each surrogate object once.
     """
 
     state: dict               # bit-generator state after the jump draws
@@ -166,63 +165,14 @@ class GaussianSurrogate:
         rng.bit_generator.state = self.state
         return rng
 
-    def rows(self) -> Iterator[np.ndarray]:
-        """The increments of steps 0 .. live_steps - 1, one (n_cells,) row
-        per step."""
-        for _, _, block in surrogate_blocks([self]):
-            yield from block[0].copy()
-
     def full(self) -> np.ndarray:
-        """The whole (n_steps, n_cells) array of rows(), zero after them."""
+        """The whole (n_steps, n_cells) array of the increments, zero from
+        live_steps on."""
         out = np.zeros(self.shape)
-        for steps, _, block in surrogate_blocks([self]):
-            out[steps.start:steps.stop] = block[0]
+        for lo, _, tile in surrogate_tiles([self]):
+            steps = out[lo:lo + len(tile)]
+            steps[...] = tile[:len(steps)]
         return out
-
-
-# Values of one surrogate drawn at once: a block of whole steps, at least
-# one, so about 8 kB per surrogate in d=1 and one step in d=2.
-SURROGATE_BLOCK_VALUES = 1024
-
-
-def surrogate_blocks(surrogates: Sequence[GaussianSurrogate]
-                     ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
-    """The one draw rule of surrogate increments, for surrogates of one
-    shape: surrogate i's steps are drawn from its generator() a block of
-    steps at a time, with one standard_normal into its own slot of one
-    (surrogates, steps, n_cells) array, scaled by its std in place. The
-    values are bitwise those of one (n_steps, n_cells) draw.
-
-    Yields (steps, live, block) for consecutive ranges of steps from 0 to
-    the last live step: block[i] holds the increments of those steps for
-    every surrogate i with live[i], and stale values for the others. A
-    block holds at most SURROGATE_BLOCK_VALUES values per surrogate (but
-    at least one step) and ends at every live_steps, so a surrogate is
-    live in a whole block or in none of it; the blocks up to the same
-    live_steps share one live array. The array is reused: a block is valid
-    until the next one is drawn.
-    """
-    n_cells = surrogates[0].shape[1]
-    per = max(1, SURROGATE_BLOCK_VALUES // n_cells)
-    lives = np.array([s.live_steps for s in surrogates])
-    stds = np.array([s.std for s in surrogates])
-    streams = [s.generator() for s in surrogates]
-    buffer = np.empty((len(surrogates), min(per, lives.max()), n_cells))
-    lo = 0
-    for edge in sorted(set(lives.tolist())):
-        # no live_steps lies between lo and edge: one live set up to edge
-        live = lives >= edge
-        drawn = np.flatnonzero(live)
-        # a stale slot is scaled by 1, which leaves it unchanged
-        scale = np.where(live, stds, 1.0)[:, None, None]
-        while lo < edge:
-            hi = min(lo + per, edge)
-            block = buffer[:, :hi - lo]
-            for i in drawn:
-                streams[i].standard_normal(out=block[i])
-            block *= scale
-            yield range(lo, hi), live, block
-            lo = hi
 
 
 # Values of one surrogate in one tile of surrogate_tiles: the tile height
@@ -238,28 +188,32 @@ def tile_height(n_cells: int) -> int:
     return max(1, SURROGATE_TILE_VALUES // n_cells)
 
 
-def surrogate_tiles(surrogates: Sequence[GaussianSurrogate]
+def surrogate_tiles(surrogates: Sequence[GaussianSurrogate],
+                    out: np.ndarray | None = None
                     ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The increments of surrogates of one shape in tiles of a fixed
-    height, tile_height(n_cells) steps, aligned at multiples of it from
-    step 0.
+    """The one draw rule of surrogate increments, for surrogates of one
+    shape: tiles of a fixed height, tile_height(n_cells) steps, aligned at
+    multiples of it from step 0.
 
     For each tile up to the last live step, and each surrogate i live at
     its first step lo, yields (lo, i, tile): tile, shape (height,
     n_cells), holds the surrogate's steps lo .. lo + height - 1, zero at
-    and past its live_steps. The values are drawn as surrogate_blocks
-    draws them, from the surrogate's generator() in step order with one
-    standard_normal per tile, scaled by its std in place: bitwise one
-    (n_steps, n_cells) draw. One array holds every tile, so a tile is
-    valid until the next one is drawn.
+    and past its live_steps. The values are drawn from the surrogate's
+    generator() in step order with one standard_normal per tile, scaled by
+    its std in place: bitwise one (n_steps, n_cells) draw. Tile i is drawn
+    into out[i] when out, shape (surrogates, height, n_cells), is given,
+    and otherwise into one array that holds every tile; either way a tile
+    is valid until the next one is drawn into its array.
     """
     height = tile_height(surrogates[0].shape[1])
     streams = [s.generator() for s in surrogates]
-    tile = np.empty((height, surrogates[0].shape[1]))
+    if out is None:
+        out = [np.empty((height, surrogates[0].shape[1]))] * len(surrogates)
     for lo in range(0, max(s.live_steps for s in surrogates), height):
         for i, s in enumerate(surrogates):
             live = min(s.live_steps - lo, height)
             if live > 0:
+                tile = out[i]
                 streams[i].standard_normal(out=tile[:live])
                 tile[:live] *= s.std
                 tile[live:] = 0.0

@@ -15,20 +15,17 @@ step start (left-point rule), the discrete counterpart of predictability.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import EigenBasis, embedding_constant
-from .noise import (GaussianSurrogate, NoisePath, first_large_jump,
-                    grid_times, surrogate_blocks, surrogate_tiles,
-                    tile_height, truncate)
+from .noise import (NoisePath, first_large_jump, grid_times,
+                    surrogate_tiles, tile_height, truncate)
 
 
 class SolverError(ValueError):
@@ -101,18 +98,16 @@ def _constant(f) -> float | None:
     return _CONSTANTS[f] if f is _zero or f is _one else None
 
 
-def _coefficient(f, field, radius: np.ndarray) -> np.ndarray | float:
+def _coefficient(f, field: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """f at the field clamped to [-radius, radius]; radius inf leaves every
-    float unchanged, inf and NaN included. ``field`` is a callable that
-    returns the field. A coefficient that ignores its argument (_zero,
-    _one) is its value as a Python float, which broadcasts against any
-    operand; the field is never built and no array is made."""
-    if f is _zero or f is _one:
-        return _CONSTANTS[f]
-    x = field()
+    float unchanged, inf and NaN included. The field is clamped in place,
+    so no copy of it is held while f runs, and clamping it again at the
+    same radius changes nothing. Only a coefficient that reads its
+    argument comes here: one that ignores it (_constant) enters through a
+    projection made without the field (see step)."""
     # np.clip's values, in half its time for per-row radii
-    x = np.maximum(x, -radius)
-    return f(np.minimum(x, radius, out=x))
+    np.maximum(field, -radius, out=field)
+    return f(np.minimum(field, radius, out=field))
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +352,14 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     _surrogate_rows); None when none does. The values are the increments
     dW when sigma reads the state, and the projections sigma * analyze(dW)
     when it does not. Every product is a stack of one-row products, or a
-    product of one surrogate's tile of fixed height (_projected_blocks), so
+    product of one surrogate's tile of fixed height (_surrogate_rows), so
     a row gets the same bytes in any batch, alone included.
 
-    Every coefficient is evaluated through _coefficient. One that ignores
-    its argument reads no field: its drift or compensator projection is
-    the setup's drift_projection or compensator_projection. When the drift
+    A coefficient that reads its argument is evaluated through
+    _coefficient. One that ignores it reads no field: its drift or
+    compensator projection is the setup's drift_projection or
+    compensator_projection, and a constant sigma's jumps and surrogate
+    enter through _add_jump_sums and the projected feed. When the drift
     or the compensator reads the state, the grid field is synthesized once,
     before the drift, for both, on the rows _field_rows picks: the all-zero
     rows bitwise equal to the first one, as every row is until its path's
@@ -384,15 +381,17 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
     drifts, compensates = pair.D_b != 0.0, m1 != 0.0 and pair.D_sigma != 0.0
     beta, comp = setup.drift_projection, setup.compensator_projection
     if (drifts and beta is None) or (compensates and comp is None):
-        # the grid field, synthesized once for the drift and the compensator
+        # the grid field, synthesized once for the drift and the
+        # compensator: the drift's _coefficient clamps it in place, at the
+        # radius the compensator's clamps it again
         rows, item = _field_rows(u, radius)
         grid = bas.synthesize(u[rows, None])[:, 0]
         if drifts and beta is None:
             beta = bas.analyze(bas.quad_weights * _coefficient(
-                pair.b, lambda: grid, r[rows]))[item]
+                pair.b, grid, r[rows]))[item]
         if compensates and comp is None:
             comp = bas.analyze(bas.quad_weights * _coefficient(
-                pair.sigma, lambda: grid, r[rows]))[item]
+                pair.sigma, grid, r[rows]))[item]
 
     if drifts:
         A = A + dt * cos_t[n] * beta
@@ -418,8 +417,7 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         if sigma is None:
             dW = proj
             sig = _coefficient(
-                pair.sigma,
-                lambda: bas.synthesize(u[rows, None], "cells")[:, 0],
+                pair.sigma, bas.synthesize(u[rows, None], "cells")[:, 0],
                 r[rows])
             proj = bas.analyze(sig * dW, "cells")
         Mc[rows] += cos_t[n] * proj
@@ -487,8 +485,7 @@ def _scatter_jumps(Mc: np.ndarray, Ms: np.ndarray, u: np.ndarray,
                 else np.concatenate([g.index for g, _, _ in bucket]))
         sig = _coefficient(   # field frozen at t0, shape (rows, J)
             setup.pair.sigma,
-            lambda: (u[rows].reshape(G, k, 1, M)
-                     @ blocks(modes)).reshape(-1, J),
+            (u[rows].reshape(G, k, 1, M) @ blocks(modes)).reshape(-1, J),
             r[rows])
         sizes = np.concatenate(
             [g.path.jump_sizes[lo:hi] for g, lo, hi in bucket])
@@ -590,77 +587,57 @@ def _surrogate_rows(paths: Sequence[NoisePath],
     rows whose surrogate is live, in row order, and one value row each;
     None when no surrogate is live.
 
-    When sigma reads the state, the values are the increments dW, one
-    (n_cells,) row each, drawn by noise.surrogate_blocks. When it does not
-    (_constant), they are their projections sigma * analyze(dW), one (M,)
-    row each, made by _projected_blocks; sigma = 0 draws nothing and
-    yields None at every step. Each distinct surrogate object is drawn
-    once, whatever rows it drives: truncate and _K_driver share a path's
-    surrogate, so every K level of a path reads one stream. When each live
-    surrogate drives one row, the values are a view of the block;
-    otherwise the block is gathered into row order once per block.
+    Each distinct surrogate object is drawn once by noise.surrogate_tiles,
+    whatever rows it drives: truncate and _K_driver share a path's
+    surrogate, so every K level of a path reads one stream. Each tile
+    fills the surrogate's slot of one (surrogates, height, width) feed.
+    When sigma reads the state, the slot is the tile itself, the
+    increments dW, one (n_cells,) row per step. When it does not
+    (_constant), the slot is sigma times the tile's projection, one
+    basis.analyze_block product with (M,) rows; the tile height follows
+    from the cell count alone, so a row's bytes do not depend on the
+    batch. sigma = 0 draws nothing and yields None at every step. The
+    live rows are recomputed only at a live_steps. When each live
+    surrogate drives one row, the values are a view of the feed;
+    otherwise the feed is gathered into row order at each step.
     """
     surrogates = list(dict.fromkeys(
         p.surrogate for p in paths if p.surrogate is not None))
-    slot_of = {s: i for i, s in enumerate(surrogates)}
-    slots = np.array([slot_of.get(p.surrogate, -1) for p in paths])
     sigma = _constant(setup.pair.sigma)
-    if not surrogates or sigma == 0.0:
-        blocks = ()
-    elif sigma is None:
-        blocks = surrogate_blocks(surrogates)
-    else:
-        blocks = _projected_blocks(surrogates, setup.basis, sigma)
-    n, seen = 0, None
-    for steps, live, block in blocks:
-        if live is not seen:   # the live set changes only at a live_steps
-            seen = live
-            # slot -1, a row with no surrogate, reads a live flag it discards
-            rows = np.flatnonzero((slots >= 0) & live[slots])
-            which = slots[rows]
-            gather = which.tolist() != list(range(len(surrogates)))
-            if rows[-1] - rows[0] + 1 == len(rows):
-                rows = slice(rows[0], rows[-1] + 1)
-        if gather:
-            block = block[which]
-        for j in range(len(steps)):
-            yield rows, block[:, j]
-        n = steps.stop
-    for _ in range(n, setup.n_steps):
+    last = 0
+    if surrogates and sigma != 0.0:
+        slot_of = {s: i for i, s in enumerate(surrogates)}
+        slots = np.array([slot_of.get(p.surrogate, -1) for p in paths])
+        lives = np.array([s.live_steps for s in surrogates])
+        ends, last = set(lives.tolist()), int(lives.max())
+        basis = setup.basis
+        height, raw = tile_height(basis.cell_count), sigma is None
+        feed = np.empty((len(surrogates), height,
+                         basis.cell_count if raw else basis.mode_count))
+        # a raw tile is drawn straight into its slot of the feed
+        tiles = surrogate_tiles(surrogates, feed if raw else None)
+        for lo in range(0, last, height):
+            # the window's tiles, one per surrogate live at step lo, with
+            # no draw of the next window's: a raw tile is read in place
+            live = np.count_nonzero(lives > lo)
+            for _, i, tile in itertools.islice(tiles, live):
+                if not raw:
+                    basis.analyze_block(tile, "cells", out=feed[i])
+                    if sigma != 1.0:
+                        feed[i] *= sigma
+            for n in range(lo, min(lo + height, last)):
+                if n == 0 or n in ends:   # the live set changes only here
+                    # slot -1, a row with no surrogate, reads a live
+                    # flag it discards
+                    rows = np.flatnonzero((slots >= 0) & (lives[slots] > n))
+                    which = slots[rows]
+                    gather = which.tolist() != list(range(len(surrogates)))
+                    if rows[-1] - rows[0] + 1 == len(rows):
+                        rows = slice(rows[0], rows[-1] + 1)
+                values = feed[:, n - lo]
+                yield rows, values[which] if gather else values
+    for _ in range(last, setup.n_steps):
         yield None
-
-
-def _projected_blocks(surrogates: Sequence[GaussianSurrogate],
-                      basis: EigenBasis, sigma: float
-                      ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
-    """surrogate_blocks' (steps, live, block) for the constant sigma, each
-    increment dW replaced by its projection sigma * analyze(dW) on the
-    cells, shape (M,).
-
-    Each tile of noise.surrogate_tiles is projected with one product,
-    basis.analyze_block, into its surrogate's slot of one (surrogates,
-    height, M) array. The tile height follows from the cell count alone,
-    so a row's bytes do not depend on the batch. A tile is cut at every
-    live_steps inside it, so, as in surrogate_blocks, a surrogate is live
-    in a whole block or in none of it, and the blocks up to the same
-    live_steps share one live array.
-    """
-    lives = np.array([s.live_steps for s in surrogates])
-    edges = sorted(set(lives.tolist()))
-    live_at = {edge: lives >= edge for edge in edges}
-    height = tile_height(basis.cell_count)
-    feed = np.empty((len(surrogates), height, basis.mode_count))
-    for lo, tiles in itertools.groupby(surrogate_tiles(surrogates),
-                                       key=operator.itemgetter(0)):
-        for _, i, tile in tiles:
-            basis.analyze_block(tile, "cells", out=feed[i])
-            if sigma != 1.0:
-                feed[i] *= sigma
-        hi = min(lo + height, edges[-1])
-        cuts = [lo] + [e for e in edges if lo < e < hi] + [hi]
-        for a, b in zip(cuts, cuts[1:]):
-            edge = edges[bisect.bisect_left(edges, b)]
-            yield range(a, b), live_at[edge], feed[:, a - lo:b - lo]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -349,3 +352,18 @@ class TestCommands:
             "trajectories"]["trajectory"]
         assert "1" in stopping["tau_by_N"]
         assert "1.0" in stopping["tau_by_K"]
+
+
+def test_readme_example_moves(tmp_path):
+    # the README's example config, run through simulate, writes a
+    # trajectory whose H_r norm leaves zero
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = tmp_path / "config.json"
+    config.write_text(re.search(r"```json\n(.*?)```", readme, re.S)[1])
+    out = tmp_path / "run"
+    assert main(["--config", str(config), "--seed", "42", "--out", str(out),
+                 "simulate"]) == 0
+    with open(out / "trajectory.csv", newline="") as fh:
+        norms = [float(row["hr_norm"]) for row in csv.DictReader(fh)]
+    assert len(norms) == parse_config(config).n_steps + 1
+    assert any(norms)

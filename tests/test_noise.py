@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fswe.basis import build_basis
-from fswe.noise import (SURROGATE_BLOCK_VALUES, SURROGATE_TILE_VALUES,
-                        LevyMeasureSpec, NoiseError, first_large_jump,
-                        integrate_step_field, sample_path, spec_from_dict,
-                        spec_to_dict, surrogate_blocks, surrogate_tiles,
+from fswe.noise import (SURROGATE_TILE_VALUES, LevyMeasureSpec, NoiseError,
+                        first_large_jump, integrate_step_field, sample_path,
+                        spec_from_dict, spec_to_dict, surrogate_tiles,
                         tile_height, truncate, zero_after)
 from fswe.solver import COEFFICIENT_PRESETS, make_setup, solve_untruncated
 
@@ -147,51 +146,30 @@ class TestGaussianSurrogate:
         sur = path.surrogate
         assert sur.shape == expected.shape and sur.size == expected.size
         assert sur.full().tobytes() == expected.tobytes()
-        # the row stream gives the same values, one step at a time
-        assert np.stack(list(sur.rows())).tobytes() == expected.tobytes()
         # zero_after keeps the rows of the steps before the cut
         cut = zero_after(path, 0.5)
         assert cut.surrogate.live_steps == n_steps // 2
-        np.testing.assert_array_equal(cut.surrogate.full()[:10],
-                                      expected[:10])
+        assert cut.surrogate.full()[:10].tobytes() == expected[:10].tobytes()
         assert not cut.surrogate.full()[10:].any()
-        assert len(list(cut.surrogate.rows())) == 10
 
-    def test_blocks_are_the_whole_path_draw(self):
-        # 16 cells: a block holds up to 64 steps, and ends at every
-        # live_steps of the surrogates drawn together
-        n_steps, cells = 100, 16
-        per = SURROGATE_BLOCK_VALUES // cells
-        paths = [sample_path(CAUCHY_LIKE, 1.0, n_steps, s, cells_per_dim=cells)
-                 for s in range(3)]
-        surrogates = [paths[0].surrogate, zero_after(paths[1], 0.3).surrogate,
-                      zero_after(paths[2], 0.0).surrogate]
-        lives = [s.live_steps for s in surrogates]
-        assert lives == [100, 30, 0]
-        expected = []
-        for s in surrogates:
-            rng = np.random.Generator(np.random.PCG64())
-            rng.bit_generator.state = s.state
-            expected.append(s.std * rng.standard_normal((n_steps, cells)))
-        seen = []
-        for steps, live, block in surrogate_blocks(surrogates):
-            seen.append((steps.start, steps.stop))
-            assert block.shape == (3, len(steps), cells)
-            np.testing.assert_array_equal(
-                live, [steps.stop <= n for n in lives])
-            for i in np.flatnonzero(live):
-                assert block[i].tobytes() == expected[i][steps].tobytes()
-        assert seen == [(0, 30), (30, 30 + per), (30 + per, 100)]
-        # d=2: 64 x 64 cells, one step per block
-        path = sample_path(CAUCHY_LIKE, 1.0, 5, 1, cells_per_dim=64,
-                           dimension=2)
-        assert [len(steps) for steps, _, _ in
-                surrogate_blocks([path.surrogate])] == [1] * 5
+    @staticmethod
+    def padded_draw(surrogate, height):
+        """The surrogate's (n_steps, n_cells) draw written out, zero from
+        live_steps on and padded with zero steps to whole tiles."""
+        n_steps, cells = surrogate.shape
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = surrogate.state
+        values = np.zeros((-(-n_steps // height) * height, cells))
+        live = surrogate.live_steps
+        values[:live] = surrogate.std * rng.standard_normal(
+            surrogate.shape)[:live]
+        return values
 
     def test_tiles_are_the_whole_path_draw(self):
         # 512 cells: tiles of 16 steps from step 0, the cut at step 20
         # inside the second; a surrogate is drawn only in the tiles where
-        # it is live, and is zero from its live_steps on
+        # it is live, and is zero from its live_steps on. Without out one
+        # array holds every tile; with it, tile i is drawn into out[i].
         n_steps, cells = 40, 512
         height = tile_height(cells)
         assert height == SURROGATE_TILE_VALUES // cells == 16
@@ -200,26 +178,32 @@ class TestGaussianSurrogate:
         surrogates = [paths[0].surrogate, zero_after(paths[1], 0.5).surrogate,
                       zero_after(paths[2], 0.0).surrogate]
         assert [s.live_steps for s in surrogates] == [40, 20, 0]
-        expected = []
-        for s in surrogates:
-            rng = np.random.Generator(np.random.PCG64())
-            rng.bit_generator.state = s.state
-            values = np.zeros((48, cells))
-            values[:s.live_steps] = s.std * rng.standard_normal(
-                (n_steps, cells))[:s.live_steps]
-            expected.append(values)
+        expected = [self.padded_draw(s, height) for s in surrogates]
+        for out in (None, np.empty((3, height, cells))):
+            seen = []
+            for lo, i, tile in surrogate_tiles(surrogates, out):
+                seen.append((lo, i))
+                assert tile.shape == (height, cells)
+                assert tile.tobytes() == expected[i][lo:lo + height].tobytes()
+                assert out is None or np.shares_memory(tile, out[i])
+            assert seen == [(0, 0), (0, 1), (16, 0), (16, 1), (32, 0)]
+        # each slot keeps its surrogate's last tile
+        assert out[1].tobytes() == expected[1][16:32].tobytes()
+        assert out[0].tobytes() == expected[0][32:48].tobytes()
+        # d=2: 64 x 64 cells, tiles of two steps, the cut at step 3 inside
+        # the second; 256 x 256 cells, tiles of one step
+        height = tile_height(64 * 64)
+        assert height == 2 and tile_height(256 * 256) == 1
+        paths = [sample_path(CAUCHY_LIKE, 1.0, 5, s, cells_per_dim=64,
+                             dimension=2) for s in range(2)]
+        surrogates = [paths[0].surrogate, zero_after(paths[1], 0.5).surrogate]
+        assert [s.live_steps for s in surrogates] == [5, 3]
+        expected = [self.padded_draw(s, height) for s in surrogates]
         seen = []
         for lo, i, tile in surrogate_tiles(surrogates):
             seen.append((lo, i))
-            assert tile.shape == (height, cells)
             assert tile.tobytes() == expected[i][lo:lo + height].tobytes()
-        assert seen == [(0, 0), (0, 1), (16, 0), (16, 1), (32, 0)]
-        # d=2: 64 x 64 cells, tiles of two steps; 256 x 256, of one
-        path = sample_path(CAUCHY_LIKE, 1.0, 5, 1, cells_per_dim=64,
-                           dimension=2)
-        assert [lo for lo, _, _ in surrogate_tiles([path.surrogate])] \
-            == [0, 2, 4]
-        assert tile_height(256 * 256) == 1
+        assert seen == [(0, 0), (0, 1), (2, 0), (2, 1), (4, 0)]
 
     def test_generator_is_the_stored_stream(self):
         # generator() seeds its bit generator from a fixed SeedSequence and

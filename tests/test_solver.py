@@ -564,12 +564,14 @@ class TestBatchedRows:
         assert len(traj.stopping.tau_by_K) == 4   # every K level entered
         assert peak < path.surrogate.full().nbytes
 
-    def test_d1_ensemble_paste_allocates_blocks_not_paths(self):
-        # 16 stable paths on 512 cells at the ensemble's shape: the blocks
-        # of the 16 surrogates take 128 kB, their whole paths 6.6 MB
+    @staticmethod
+    def ensemble_paste_extra(preset):
+        """16 stable paths on 512 cells pasted over K at the ensemble's
+        shape: (the bytes the paste allocates beyond its outputs at its
+        peak, the bytes of one path's whole surrogate)."""
         basis = build_basis(1, 128)
         setup = make_setup(basis, 2.0, 1.0, 1.0, 100,
-                           COEFFICIENT_PRESETS["constant"])
+                           COEFFICIENT_PRESETS[preset])
         spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
         paths = [sample_path(spec, 1.0, 100, s,
                              cells_per_dim=basis.cells_per_dim)
@@ -585,10 +587,27 @@ class TestBatchedRows:
         outputs = sum(t.coeffs.nbytes + t.hr_norms.nbytes
                       + t.active_N.nbytes + t.active_K.nbytes
                       for t in pasted)
-        # about 0.6 MB besides the outputs; blocks of 4096 values per
-        # surrogate would pass 0.8 MB, two paths' whole surrogates
-        assert peak - outputs < 2 * paths[0].surrogate.size * 8, \
-            (peak, outputs)
+        return peak - outputs, paths[0].surrogate.size * 8
+
+    def test_d1_ensemble_paste_allocates_blocks_not_paths(self):
+        # constant: the projected feed holds a tile of 16 steps per
+        # surrogate, projected to 128 modes, 16 kB each. About 0.6 MB
+        # besides the outputs; the raw tiles of 8192 values would pass
+        # 0.8 MB, two paths' whole surrogates
+        extra, whole = self.ensemble_paste_extra("constant")
+        assert extra < 2 * whole, extra
+
+    def test_d1_sine_paste_holds_one_raw_tile_per_surrogate(self):
+        # sine reads the state, so the surrogate feeds step its raw
+        # increments: the feed holds one tile of 16 steps x 512 cells per
+        # surrogate, 64 kB each, 1 MB for the 16 paths, against 6.6 MB for
+        # their whole surrogates. The paste's allocation beyond its
+        # outputs is the feed plus about 0.45 MB, so it lies above one
+        # tile per surrogate and below two; tiles of twice the height
+        # would pass two.
+        extra, whole = self.ensemble_paste_extra("sine")
+        tiles = 16 * 16 * 512 * 8
+        assert tiles < extra < 2 * tiles < 16 * whole, extra
 
 
 def _recorded_surrogates(monkeypatch):
@@ -641,24 +660,23 @@ def _check_surrogate_rows(paths, setup, calls, expected=_whole_path_draw):
 
 
 class TestSurrogateBlocks:
-    """When sigma reads the state, the solver draws each surrogate a block
+    """When sigma reads the state, the solver draws each surrogate a tile
     of steps at a time, and step gets each row's increment of the step in
     row order: bitwise the row of the whole-path draw."""
 
     def test_d1_blocks_with_cuts_and_shared_surrogates(self, monkeypatch):
-        # 16 cells: a block holds up to 64 of the 100 steps; the cut at 0.3
-        # ends a block inside the first 64 steps, and three truncations of
-        # one path share its surrogate with a row of another path between
-        basis = build_basis(1, 4, grid_size=17)
+        # 256 cells: a tile holds 32 of the 100 steps; the cut at 0.3 falls
+        # inside the first tile, and three truncations of one path share
+        # its surrogate with a row of another path between
+        basis = build_basis(1, 4, grid_size=257)
         setup = make_setup(basis, 2.0, 1.0, 1.0, 100, WAVE)
-        assert 1 < fswe.noise.SURROGATE_BLOCK_VALUES // basis.cell_count \
-            < setup.n_steps
+        assert fswe.noise.tile_height(basis.cell_count) == 32
         spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
-        drawn = [sample_path(spec, 1.0, 100, s, cells_per_dim=16)
+        drawn = [sample_path(spec, 1.0, 100, s, cells_per_dim=256)
                  for s in range(3)]
         cut = zero_after(drawn[1], 0.3)
         paths = [truncate(drawn[0], 0.05), cut, truncate(drawn[0], 0.2),
-                 sample_path(RADEMACHER, 1.0, 100, 7, cells_per_dim=16),
+                 sample_path(RADEMACHER, 1.0, 100, 7, cells_per_dim=256),
                  drawn[0], drawn[2]]
         paths = [dataclasses.replace(p, spec=spec) for p in paths]
         assert cut.surrogate.live_steps == 30
@@ -690,25 +708,28 @@ class TestSurrogateBlocks:
         _check_surrogate_rows(paths, setup, calls)
 
     def test_d2_blocks_are_one_step(self, monkeypatch):
-        basis = build_basis(2, 9, grid_size=33)
-        assert basis.cell_count >= fswe.noise.SURROGATE_BLOCK_VALUES
+        # 128 x 128 cells: tiles of one step, drawn for each live surrogate
+        basis = build_basis(2, 9, grid_size=129)
+        assert fswe.noise.tile_height(basis.cell_count) == 1
         setup = make_setup(basis, 3.0, 1.5, 1.0, 10, WAVE)
         spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
-        drawn = [sample_path(spec, 1.0, 10, s, cells_per_dim=32,
+        drawn = [sample_path(spec, 1.0, 10, s, cells_per_dim=128,
                              dimension=2) for s in range(2)]
         paths = [drawn[0], zero_after(drawn[1], 0.45), truncate(drawn[0], 0.1)]
-        blocks = []
-        surrogate_blocks = fswe.solver.surrogate_blocks
+        assert paths[1].surrogate.live_steps == 5
+        tiles = []
+        surrogate_tiles = fswe.solver.surrogate_tiles
 
-        def recorded(surrogates):
-            for steps, live, block in surrogate_blocks(surrogates):
-                blocks.append(len(steps))
-                yield steps, live, block
+        def recorded(surrogates, out=None):
+            for lo, i, tile in surrogate_tiles(surrogates, out):
+                tiles.append((lo, i, len(tile)))
+                yield lo, i, tile
 
-        monkeypatch.setattr(fswe.solver, "surrogate_blocks", recorded)
+        monkeypatch.setattr(fswe.solver, "surrogate_tiles", recorded)
         calls = _recorded_surrogates(monkeypatch)
         paste_rows(paths, setup, (1.0, 2.0, 4.0), N_max=2)
-        assert blocks == [1] * setup.n_steps
+        assert tiles == [(n, i, 1) for n in range(setup.n_steps)
+                         for i in range(2) if i == 0 or n < 5]
         _check_surrogate_rows(paths, setup, calls)
 
 
@@ -1236,6 +1257,8 @@ class TestJumpScatter:
         coefficient = fswe.solver._coefficient
 
         def counted(f, field, radius):
+            # the field itself, built for a coefficient that reads it
+            assert isinstance(field, np.ndarray)
             seen.append(f)
             return coefficient(f, field, radius)
 

@@ -6,7 +6,7 @@
 Each checkout's ``src/fswe`` is loaded into this one process, as the
 packages ``fswe_a`` and ``fswe_b`` (the package imports itself only by
 relative imports, so two copies live side by side). The benchmark's three
-workload shapes are rebuilt here from the public API:
+workload shapes, and one more, are rebuilt here from the public API:
 
 - ``d1_tail_suite``: ``verify.check_tail_bound`` with d=1, M=16, gamma=2,
   r=1, 100 steps, b=sin, sigma=cos, Rademacher atoms, N in (1, 2, 4, 8,
@@ -15,7 +15,10 @@ workload shapes are rebuilt here from the public API:
   d=1, M=128, 100 steps, ``constant``, stable alpha=1 with cutoff 0.01, K
   schedule [1, 2, 4, 8] and N_max 8;
 - ``d2_stable_simulate``: ``fswe simulate`` on d=2, M=64, gamma=3, r=1.5,
-  50 steps and the same noise.
+  50 steps and the same noise;
+- ``d1_sine_ensemble``: ``d1_stable_ensemble`` with ``sine`` coefficients,
+  a sigma that reads the state, so the surrogate's raw increments feed the
+  solver; no benchmark workload runs that path.
 
 Before timing, both sides run two fixed seeds and must give byte-identical
 outputs (CLI files byte for byte, ``runtime_seconds`` of ``summary.json``
@@ -50,7 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("d1_tail_suite", "d1_stable_ensemble", "d2_stable_simulate")
+WORKLOADS = ("d1_tail_suite", "d1_stable_ensemble", "d2_stable_simulate",
+             "d1_sine_ensemble")
 CHECK_SEEDS = (11, 12)
 
 _STABLE = {"variant": "stable", "alpha": 1.0, "cutoff": 0.01}
@@ -60,6 +64,8 @@ _CONFIGS = {
     "d2_stable_simulate": dict(dimension=2, modes=64, gamma=3.0, r=1.5,
                                n_steps=50),
 }
+_CONFIGS["d1_sine_ensemble"] = dict(_CONFIGS["d1_stable_ensemble"],
+                                    coefficients="sine")
 
 
 def load_package(checkout: Path, name: str):
@@ -103,13 +109,14 @@ class CliRun:
 
     def __init__(self, fswe, work: Path, name: str):
         self.cli = importlib.import_module(fswe.__name__ + ".cli")
-        config = dict(_CONFIGS[name], T=1.0, coefficients="constant",
-                      noise=_STABLE, N_max=8, K_schedule=[1.0, 2.0, 4.0, 8.0])
+        config = {"T": 1.0, "coefficients": "constant", "noise": _STABLE,
+                  "N_max": 8, "K_schedule": [1.0, 2.0, 4.0, 8.0],
+                  **_CONFIGS[name]}
         self.config = work / f"{name}.json"
         self.config.write_text(json.dumps(config))
         self.out = work / "out"
         self.command = (["--replicas", "16", "--workers", "1", "ensemble"]
-                        if name == "d1_stable_ensemble" else ["simulate"])
+                        if name.endswith("_ensemble") else ["simulate"])
 
     def __call__(self, seed: int):
         shutil.rmtree(self.out, ignore_errors=True)
@@ -228,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--b", type=Path, required=True,
                    help="checkout B (the change)")
     p.add_argument("--workload", choices=WORKLOADS, action="append",
-                   help="workload to time (repeatable; default all three)")
+                   help="workload to time (repeatable; default all)")
     p.add_argument("--pairs", type=int, default=40)
     p.add_argument("--seed", type=int, default=1000,
                    help="seed of the first pair")
