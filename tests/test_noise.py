@@ -205,6 +205,34 @@ class TestGaussianSurrogate:
             assert tile.tobytes() == expected[i][lo:lo + height].tobytes()
         assert seen == [(0, 0), (0, 1), (2, 0), (2, 1), (4, 0)]
 
+    def test_blocks_are_the_whole_path_draw(self):
+        # 256 cells: tiles of 32 steps over 100 steps, the last tile only
+        # partly inside the path; one surrogate is cut inside the first
+        # tile and one at step 0, so it is never drawn
+        n_steps, cells = 100, 256
+        height = tile_height(cells)
+        assert height == 32
+        paths = [sample_path(CAUCHY_LIKE, 1.0, n_steps, s, cells_per_dim=cells)
+                 for s in range(3)]
+        surrogates = [paths[0].surrogate, zero_after(paths[1], 0.3).surrogate,
+                      zero_after(paths[2], 0.0).surrogate]
+        assert [s.live_steps for s in surrogates] == [100, 30, 0]
+        expected = [self.padded_draw(s, height) for s in surrogates]
+        seen = []
+        for lo, i, tile in surrogate_tiles(surrogates):
+            seen.append((lo, i))
+            assert tile.tobytes() == expected[i][lo:lo + height].tobytes()
+        assert seen == [(0, 0), (0, 1), (32, 0), (64, 0), (96, 0)]
+        # d=2: 256 x 256 cells, one step per tile
+        path = sample_path(CAUCHY_LIKE, 1.0, 5, 1, cells_per_dim=256,
+                           dimension=2)
+        expected = self.padded_draw(path.surrogate, 1)
+        los = []
+        for lo, _, tile in surrogate_tiles([path.surrogate]):
+            los.append(lo)
+            assert tile.tobytes() == expected[lo:lo + 1].tobytes()
+        assert los == [0, 1, 2, 3, 4]
+
     def test_generator_is_the_stored_stream(self):
         # generator() seeds its bit generator from a fixed SeedSequence and
         # overwrites the state: its draws are those of any generator set
