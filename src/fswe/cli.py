@@ -55,6 +55,7 @@ class RunConfig:
     K_schedule: list | None = None
 
     def __post_init__(self):
+        self._check_types()
         d = self.dimension
         if d not in (1, 2):
             raise ConfigError(f"dimension must be 1 or 2, got {d}")
@@ -68,6 +69,27 @@ class RunConfig:
         cutoff = self.levy_spec().cutoff   # every noise key checked here
         if self.K_schedule is not None:
             check_K_schedule(self.K_schedule, cutoff, ConfigError)
+
+    def _check_types(self) -> None:
+        """Raise ConfigError naming the first key whose value has the
+        wrong JSON type, before any check compares it."""
+        for key in ("dimension", "modes", "n_steps", "N_max", "grid_size"):
+            value = getattr(self, key)
+            if not (_is_number(value, int)
+                    or (key == "grid_size" and value is None)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("gamma", "r", "T"):
+            value = getattr(self, key)
+            if not _is_number(value):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+        ks = self.K_schedule
+        if ks is not None and not (isinstance(ks, (list, tuple))
+                                   and all(map(_is_number, ks))):
+            raise ConfigError(
+                f"K_schedule must be a list of numbers or null, got {ks!r}")
+        if not isinstance(self.coefficients, str):
+            raise ConfigError(f"coefficients must be a string, "
+                              f"got {self.coefficients!r}")
 
     def levy_spec(self) -> LevyMeasureSpec:
         return spec_from_dict(self.noise)
@@ -84,6 +106,12 @@ class RunConfig:
              if f.name != "noise"}
         d["noise"] = spec_to_dict(self.levy_spec())
         return d
+
+
+def _is_number(value, kind: type | tuple = (int, float)) -> bool:
+    """Whether value is a JSON number of the kind: a JSON true or false
+    is a Python bool, which is an int but not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -206,7 +234,8 @@ def _paste_seeds(config: RunConfig, setup: SolveSetup,
         raise ConfigError(_NEEDS_K_SCHEDULE)
     trajs = []
     # one row per replica, keeping its coefficient history
-    for block in row_blocks(setup, len(seeds), kept=1):
+    for block in row_blocks(setup, len(seeds), kept=1,
+                            spec=config.levy_spec()):
         paths = [_sample(config, setup.basis, seeds[i]) for i in block]
         trajs += paste_rows(paths, setup, config.K_schedule, config.N_max)
     return trajs

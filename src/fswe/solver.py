@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis, embedding_constant
-from .noise import (NoisePath, first_large_jump, grid_times,
-                    surrogate_tiles, tile_height, truncate)
+from .noise import (LevyMeasureSpec, NoisePath, first_large_jump,
+                    grid_times, surrogate_tiles, tile_height, truncate)
 
 
 class SolverError(ValueError):
@@ -278,35 +278,54 @@ def _check_batch(paths: Sequence[NoisePath], setup: SolveSetup) -> None:
 
 
 @dataclass(frozen=True)
-class RowGroup:
-    """The rows of a batch that one noise path drives."""
+class JumpTable:
+    """The jumps of every row of a batch, one line each, ordered by step,
+    then row, then time: step n holds lines edges[n] .. edges[n + 1] - 1
+    (NoisePath.jump_bounds), line j belongs to row rows[j], and first[j]
+    marks the first line of a row in a step. Rows driven by one path each
+    hold a copy of its jumps; a jump in no step has no line."""
 
-    path: NoisePath
-    rows: slice | np.ndarray
-    index: np.ndarray       # the same rows as an index array
-    jump_bounds: list[int]  # index of the first jump at or after each step edge
+    times: np.ndarray       # (lines,)
+    positions: np.ndarray   # (lines, d)
+    sizes: np.ndarray       # (lines,)
+    rows: np.ndarray        # (lines,)
+    first: np.ndarray       # (lines,) bool
+    edges: list[int]        # n_steps + 1 line indices
+    m1: float               # the batch's compensator rate (LevyMeasureSpec.m1)
 
 
-def row_groups(paths: Sequence[NoisePath],
-               setup: SolveSetup) -> list[RowGroup]:
-    """Group the rows of a batch by path: row i is driven by paths[i].
-
-    Rows given the same path object share a group; see _check_batch for
-    the paths a batch takes.
-    """
+def jump_table(paths: Sequence[NoisePath], setup: SolveSetup) -> JumpTable:
+    """The jump table of the batch whose row i paths[i] drives; see
+    _check_batch for the paths a batch takes."""
     _check_batch(paths, setup)
-    rows_of: dict[int, tuple[NoisePath, list[int]]] = {}
-    for i, path in enumerate(paths):
-        rows_of.setdefault(id(path), (path, []))[1].append(i)
-    groups = []
-    for path, rows in rows_of.values():
-        index = np.array(rows)
-        contiguous = rows[-1] - rows[0] + 1 == len(rows)
-        groups.append(RowGroup(
-            path=path,
-            rows=slice(rows[0], rows[-1] + 1) if contiguous else index,
-            index=index, jump_bounds=path.jump_bounds().tolist()))
-    return groups
+    slot = {}   # each distinct path's index among them
+    of = np.array([slot.setdefault(id(p), len(slot)) for p in paths])
+    distinct = list({id(p): p for p in paths}.values())
+    bounds = np.array([p.jump_bounds() for p in distinct])
+    # the distinct paths' stepped jumps, path by path, and their steps
+    step = np.repeat(np.tile(np.arange(setup.n_steps), len(distinct)),
+                     np.diff(bounds, axis=1).ravel())
+    counts = bounds[:, -1] - bounds[:, 0]
+    # each row's copy of its path's jumps, row by row, then sorted by step:
+    # a stable sort keeps a step's lines in row order, a row's in time order
+    per_row = counts[of]
+    line = np.arange(per_row.sum()) + np.repeat(
+        (np.cumsum(counts) - counts)[of] - (np.cumsum(per_row) - per_row),
+        per_row)
+    order = np.argsort(step[line], kind="stable")
+    line, rows = line[order], np.repeat(np.arange(len(paths)), per_row)[order]
+    step = step[line]
+    first = (np.diff(rows, prepend=-1) != 0) | (np.diff(step, prepend=-1) != 0)
+
+    def column(name):
+        return np.concatenate([getattr(p, name)[b[0]:b[-1]]
+                               for p, b in zip(distinct, bounds)])[line]
+
+    return JumpTable(
+        times=column("jump_times"), positions=column("jump_positions"),
+        sizes=column("jump_sizes"), rows=rows, first=first,
+        edges=np.searchsorted(step, np.arange(setup.n_steps + 1)).tolist(),
+        m1=paths[0].spec.m1)
 
 
 _EVERY_ROW = slice(None), slice(None)
@@ -338,47 +357,36 @@ def _field_rows(u: np.ndarray, radius: np.ndarray) -> tuple:
     return np.flatnonzero(keep), item
 
 
-def step(state: ModeState, groups: Sequence[RowGroup], n: int,
+def step(state: ModeState, table: JumpTable, n: int,
          setup: SolveSetup, radius: np.ndarray,
          surrogate: tuple | None) -> ModeState:
-    """Advance every row from grid time t_n to t_n+1 (setup.times) with
-    left-point evaluation.
+    """Advance every row, state arrays of shape (rows, M), from grid time
+    t_n to t_n+1 (setup.times) with left-point evaluation.
 
-    The state arrays have shape (rows, M), and each group's path drives the
-    group's rows with the jumps jump_bounds assigns to step n. Row i clamps
-    the argument of b and sigma at +-radius[i] (inf: not at all).
-    ``surrogate`` is (rows, values): the rows that a surrogate drives in
-    step n and one value row each, values[i] that of row rows[i] (see
-    _surrogate_rows); None when none does. The values are the increments
-    dW when sigma reads the state, and the projections sigma * analyze(dW)
-    when it does not. Every product is a stack of one-row products, or a
-    product of one surrogate's tile of fixed height (_surrogate_rows), so
-    a row gets the same bytes in any batch, alone included.
+    Row i is driven by its jumps of step n in ``table`` and clamps the
+    argument of b and sigma at +-radius[i] (inf: not at all).
+    ``surrogate`` is None or (rows, values), the rows a surrogate drives in
+    step n and one value row each (_surrogate_rows). Every product is a
+    stack of one-row products or a product of one surrogate's tile of
+    fixed height, and _add_jumps sums each row's own jumps, so a row gets
+    the same bytes in any batch, alone included.
 
-    A coefficient that reads its argument is evaluated through
-    _coefficient. One that ignores it reads no field: its drift or
-    compensator projection is the setup's drift_projection or
-    compensator_projection, and a constant sigma's jumps and surrogate
-    enter through _add_jump_sums and the projected feed. When the drift
-    or the compensator reads the state, the grid field is synthesized once,
-    before the drift, for both, on the rows _field_rows picks: the all-zero
-    rows bitwise equal to the first one, as every row is until its path's
-    first jump when b(0) = 0, share one evaluation, and each reads the
-    bytes it computes alone. A zero row has norm 0, so no tau_N rests on
-    the sharing. The jumps enter through _scatter_jumps when sigma reads
-    the state and through _add_jump_sums when it does not.
+    When b or the compensator reads the state, the grid field is
+    synthesized once for both, on the rows _field_rows picks: the all-zero
+    rows bitwise equal to the first one (every row until its path's first
+    jump when b(0) = 0) share one evaluation, with the bytes each computes
+    alone. A zero row has norm 0, so no tau_N rests on the sharing.
     """
     bas = setup.basis
     pair = setup.pair
-    omega = setup.omega
     dt = setup.dt
     cos_t, sin_t = setup.phases
     u = state.u
     r = radius[:, None]
     A, B = state.drift_cos, state.drift_sin
     Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
-    m1 = groups[0].path.spec.m1
-    drifts, compensates = pair.D_b != 0.0, m1 != 0.0 and pair.D_sigma != 0.0
+    drifts = pair.D_b != 0.0
+    compensates = table.m1 != 0.0 and pair.D_sigma != 0.0
     beta, comp = setup.drift_projection, setup.compensator_projection
     if (drifts and beta is None) or (compensates and comp is None):
         # the grid field, synthesized once for the drift and the
@@ -398,149 +406,85 @@ def step(state: ModeState, groups: Sequence[RowGroup], n: int,
         B = B + dt * sin_t[n] * beta
 
     sigma = _constant(pair.sigma)
-    if sigma is None:
-        _scatter_jumps(Mc, Ms, u, r, groups, n, setup)
-    elif sigma != 0.0:
+    if sigma != 0.0:
         # sigma = 0: its jumps would add +-0, which leaves the +0 of Mc
         # and Ms in a solve as it is
-        _add_jump_sums(Mc, Ms, groups, n, setup, sigma)
+        _add_jumps(Mc, Ms, u, radius, table, n, setup, sigma)
 
     if compensates:
         # compensator of asymmetric finite-activity jumps, left-point rule
-        Mc -= m1 * dt * cos_t[n] * comp
-        Ms -= m1 * dt * sin_t[n] * comp
+        Mc -= table.m1 * dt * cos_t[n] * comp
+        Ms -= table.m1 * dt * sin_t[n] * comp
 
     if surrogate is not None:
         # every surrogate-driven row in one stacked projection, unless
         # _surrogate_rows projected the increments already
         rows, proj = surrogate
-        if sigma is None:
-            dW = proj
+        if sigma is None:   # proj holds the increments dW
             sig = _coefficient(
                 pair.sigma, bas.synthesize(u[rows, None], "cells")[:, 0],
                 r[rows])
-            proj = bas.analyze(sig * dW, "cells")
+            proj = bas.analyze(sig * proj, "cells")
         Mc[rows] += cos_t[n] * proj
         Ms[rows] += sin_t[n] * proj
 
     new = ModeState(t=float(setup.times[n + 1]), drift_cos=A, drift_sin=B,
                     mart_cos=Mc, mart_sin=Ms, u=u)
-    new.u = new.rebuild_u(omega, cos_t[n + 1], sin_t[n + 1])
+    new.u = new.rebuild_u(setup.omega, cos_t[n + 1], sin_t[n + 1])
     return new
 
 
-def _step_jumps(groups: Sequence[RowGroup], n: int) -> list[tuple]:
-    """(group, lo, hi) for each group with jumps lo .. hi - 1 in step n."""
-    spans = []
-    for g in groups:
-        lo, hi = g.jump_bounds[n], g.jump_bounds[n + 1]
-        if hi > lo:
-            spans.append((g, lo, hi))
-    return spans
-
-
-def _scatter_jumps(Mc: np.ndarray, Ms: np.ndarray, u: np.ndarray,
-                   r: np.ndarray, groups: Sequence[RowGroup], n: int,
-                   setup: SolveSetup) -> None:
-    """Add the jumps of step n to Mc and Ms in place, sigma read at each
-    jump on the field frozen at t_n.
-
-    The groups with jumps in the step are bucketed by (jump count, rows per
-    group): each bucket evaluates sigma at its jumps and scatters them into
-    Mc and Ms with one stacked product each, whose items are the one-row
-    products a row gets alone, a group's jump tables broadcast over its
-    rows.
+def _add_jumps(Mc: np.ndarray, Ms: np.ndarray, u: np.ndarray,
+               radius: np.ndarray, table: JumpTable, n: int,
+               setup: SolveSetup, sigma: float | None) -> None:
+    """Add every row's jumps of step n to Mc and Ms in place: line j, a
+    jump of row i, gives (cos(omega t_j) e(x_j)) w_j and the same with sin,
+    w_j = sigma z_j for the constant ``sigma`` and otherwise
+    sigma(u_i(x_j)) z_j, the field u_i(x_j) = sum_k u_ik e_k(x_j) frozen at
+    t_n and clamped at +-radius[i]. np.add.reduceat sums a row's lines in
+    an order set by their count alone, so they depend on its jumps only.
     """
-    buckets: dict[tuple[int, int], list] = {}
-    for g, lo, hi in _step_jumps(groups, n):
-        buckets.setdefault((hi - lo, len(g.index)), []).append((g, lo, hi))
-    if not buckets:
+    lines = slice(table.edges[n], table.edges[n + 1])
+    if lines.start == lines.stop:
         return
-    bas = setup.basis
-    # one mode and phase table for every jump, a bucket's columns
-    # consecutive and group by group
-    spans = [span for bucket in buckets.values() for span in bucket]
-    # positions checked once per batch by _check_batch
-    modes = bas.modes_at(np.concatenate(
-        [g.path.jump_positions[lo:hi] for g, lo, hi in spans]))
-    phase = np.outer(setup.omega, np.concatenate(
-        [g.path.jump_times[lo:hi] for g, lo, hi in spans]))
-    cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
-    end = 0
-    M = bas.mode_count
-    for (J, k), bucket in buckets.items():
-        G = len(bucket)
-        cols = slice(end, end + J * G)
-        end = cols.stop
-
-        def blocks(table):
-            # (groups, 1, M, J): each group's own contiguous (M, J)
-            # block, as a strided operand can change a product's bytes
-            return np.ascontiguousarray(
-                table[:, cols].reshape(M, G, J).transpose(1, 0, 2))[:, None]
-
-        # the bucket's rows, group by group; a lone group indexes its
-        # rows as a view when they are contiguous, not by a gather
-        rows = (bucket[0][0].rows if G == 1
-                else np.concatenate([g.index for g, _, _ in bucket]))
-        sig = _coefficient(   # field frozen at t0, shape (rows, J)
-            setup.pair.sigma,
-            (u[rows].reshape(G, k, 1, M) @ blocks(modes)).reshape(-1, J),
-            r[rows])
-        sizes = np.concatenate(
-            [g.path.jump_sizes[lo:hi] for g, lo, hi in bucket])
-        w = (sig * np.repeat(sizes.reshape(G, J), k, axis=0)
-             ).reshape(G, k, J, 1)
-        Mc[rows] += (blocks(cos_modes) @ w).reshape(-1, M)
-        Ms[rows] += (blocks(sin_modes) @ w).reshape(-1, M)
-
-
-def _add_jump_sums(Mc: np.ndarray, Ms: np.ndarray,
-                   groups: Sequence[RowGroup], n: int, setup: SolveSetup,
-                   sigma: float) -> None:
-    """Add the jumps of step n to Mc and Ms in place when sigma is the
-    constant ``sigma``: each group's sum over its jumps of
-    (cos(omega t_j) e(x_j)) (sigma z_j), and the same with sin, added to
-    every row of the group.
-
-    One mode and phase table serves every group's jumps, one row per jump.
-    np.add.reduceat sums each group's rows in an order set by their count
-    alone, so a group's sums do not depend on the other groups, and a
-    group with one jump in the step adds its one product.
-    """
-    spans = _step_jumps(groups, n)
-    if not spans:
-        return
-    # positions checked once per batch by _check_batch
-    modes = setup.basis.modes_at(np.concatenate(
-        [g.path.jump_positions[lo:hi] for g, lo, hi in spans])).T
-    phase = np.outer(np.concatenate(
-        [g.path.jump_times[lo:hi] for g, lo, hi in spans]), setup.omega)
-    w = sigma * np.concatenate(
-        [g.path.jump_sizes[lo:hi] for g, lo, hi in spans])[:, None]
-    starts = np.cumsum([0] + [hi - lo for _, lo, hi in spans[:-1]])
-    rows = np.concatenate([g.index for g, _, _ in spans])
-    counts = [len(g.index) for g, _, _ in spans]
+    of = table.rows[lines]   # each line's row
+    starts = np.flatnonzero(table.first[lines])
+    rows = of[starts]
+    # positions checked once per batch by _check_batch; one row per line
+    modes = setup.basis.modes_at(table.positions[lines]).T
+    phase = np.outer(table.times[lines], setup.omega)
+    if sigma is None:   # sigma at each line's field
+        sigma = _coefficient(setup.pair.sigma, np.sum(u[of] * modes, axis=1),
+                             radius[of])
+    w = (sigma * table.sizes[lines])[:, None]
     for acc, trig in ((Mc, np.cos), (Ms, np.sin)):
-        sums = np.add.reduceat(trig(phase) * modes * w, starts, axis=0)
-        acc[rows] += np.repeat(sums, counts, axis=0)
+        acc[rows] += np.add.reduceat(trig(phase) * modes * w, starts, axis=0)
 
 
 # Float64 values one batched solve may hold: its rows times the grid
 # points, the size of a step's largest temporaries, plus the coefficient
-# histories it keeps. About 2 MB per array, whatever the replica count,
-# unless one replica's rows alone exceed it (d=2).
+# histories it keeps and the raw surrogate feed. About 2 MB per array,
+# whatever the replica count, unless one replica's rows alone exceed it
+# (d=2).
 _BLOCK_VALUES = 1 << 18
 
 
 def row_blocks(setup: SolveSetup, count: int, rows: int = 1,
-               kept: int = 0) -> list[range]:
+               kept: int = 0, spec: LevyMeasureSpec | None = None
+               ) -> list[range]:
     """Consecutive ranges of ``count`` items (replicas, say), each small
     enough that its rows (``rows`` per item) times the grid points, plus
-    ``kept`` coefficient histories per item, stay within _BLOCK_VALUES."""
-    points = setup.basis.grid_size ** setup.basis.dimension
-    history = (setup.n_steps + 1) * setup.basis.mode_count
-    size = max(1, _BLOCK_VALUES // (rows * points + kept * history))
+    ``kept`` coefficient histories per item and the raw tile of the one
+    surrogate an item's rows share (_surrogate_rows: sigma reads the
+    state, noise ``spec`` has a surrogate), stay within _BLOCK_VALUES."""
+    bas = setup.basis
+    points = bas.grid_size ** bas.dimension
+    history = (setup.n_steps + 1) * bas.mode_count
+    feed = 0
+    if (spec is not None and spec.small_jump_variance > 0.0
+            and _constant(setup.pair.sigma) is None):
+        feed = tile_height(bas.cell_count) * bas.cell_count
+    size = max(1, _BLOCK_VALUES // (rows * points + kept * history + feed))
     return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -572,12 +516,13 @@ def _forward(paths: Sequence[NoisePath], setup: SolveSetup,
     """Solve a batch from zero, yielding the state after each grid step:
     the one forward loop of solve_rows and paste_rows. Row i is driven by
     paths[i] and clamped at radius[i]; radius is read at every step, so
-    the caller may raise a row's radius between yields.
+    the caller may raise a row's radius between yields. The batch's jump
+    table is built once, before the first step.
     """
-    groups = row_groups(paths, setup)
+    table = jump_table(paths, setup)
     state = ModeState.zero((len(paths), setup.basis.mode_count))
     for n, surrogate in enumerate(_surrogate_rows(paths, setup)):
-        state = step(state, groups, n, setup, radius, surrogate)
+        state = step(state, table, n, setup, radius, surrogate)
         yield state
 
 
@@ -596,10 +541,7 @@ def _surrogate_rows(paths: Sequence[NoisePath],
     (_constant), the slot is sigma times the tile's projection, one
     basis.analyze_block product with (M,) rows; the tile height follows
     from the cell count alone, so a row's bytes do not depend on the
-    batch. sigma = 0 draws nothing and yields None at every step. The
-    live rows are recomputed only at a live_steps. When each live
-    surrogate drives one row, the values are a view of the feed;
-    otherwise the feed is gathered into row order at each step.
+    batch. sigma = 0 draws nothing and yields None at every step.
     """
     surrogates = list(dict.fromkeys(
         p.surrogate for p in paths if p.surrogate is not None))
@@ -753,12 +695,10 @@ def paste_rows(paths: Sequence[NoisePath], setup: SolveSetup,
     whose norm first exceeds N, its K rises right before the first step
     into a grid time at or after tau^K, and no level is solved twice. Each
     row keeps its own levels, clamp radius and record. Over K, each row's
-    driver is built once, before the pass, by _K_driver: in every step it
-    holds the jumps of truncate(path, K) at that step's K level, so the
-    rows go through _forward, the forward loop of solve_rows, with their
-    drivers fixed and only their radii raised. Past N_max, or past a
-    finite tau^K of the last K, a row stays at that level and is
-    cap_reached.
+    driver is built once, before the pass (_K_driver), so the rows go
+    through _forward with their drivers fixed and only their radii raised.
+    Past N_max, or past a finite tau^K of the last K, a row stays at that
+    level and is cap_reached.
     """
     # every path is checked against the setup before a driver is built
     _check_batch(paths, setup)

@@ -328,6 +328,9 @@ def check_tail_bound(setup: SolveSetup, spec: LevyMeasureSpec,
     share only step's grid field of the all-zero rows (solver._field_rows),
     and a zero row has norm 0, so it never carries a tau_N.
     """
+    if not spec.has_finite_variance:
+        # the reference would be inf, and every verdict would pass
+        raise ValueError("the tail bound applies to finite-variance noise")
     bound_base = moment_growth_bound(setup, spec.m2)
     if corrupt:
         bound_base *= 1e-6

@@ -8,6 +8,7 @@ import pytest
 import fswe.cli as cli_mod
 import fswe.solver
 from fswe.cli import ConfigError, RunConfig, main, parse_config
+from fswe.noise import tile_height
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -26,6 +27,7 @@ BASE = {
     "coefficients": "constant",
     "noise": {"variant": "atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
 }
+STABLE_NOISE = {"variant": "stable", "alpha": 1.0, "cutoff": 0.01}
 
 
 class TestConfigParsing:
@@ -63,6 +65,25 @@ class TestConfigParsing:
         bad[field] = value
         with pytest.raises(ConfigError, match=msg):
             parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_steps", "20"), ("modes", "16"), ("T", None), ("dimension", 1.0),
+        ("N_max", True), ("grid_size", "65"), ("gamma", "2"), ("r", False),
+        ("T", [1.0]), ("K_schedule", 4.0), ("K_schedule", [1.0, "2"]),
+        ("K_schedule", [1.0, True]), ("coefficients", ["sine"])])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_wrong_json_type_names_the_key(self, tmp_path, capsys, key,
+                                           value, command):
+        # a config error (exit 2 naming the key), not a traceback (exit 1)
+        cfg = write_config(tmp_path, dict(BASE, **{key: value}))
+        out = tmp_path / "x"
+        argv = ["--config", str(cfg), "--out", str(out)]
+        argv += ["simulate"] if command == "simulate" \
+            else ["--replicas", "2", "--suite", "tail", "verify"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be")
+        assert not out.exists()
 
     def test_k_schedule_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
@@ -179,6 +200,34 @@ class TestCommands:
         assert calls == list(range(BASE["n_steps"]))
         assert len(list(out.glob("replica_*.csv"))) == 16
 
+    @pytest.mark.parametrize("coefficients,noise,rows", [
+        ("sine", STABLE_NOISE, 26), ("constant", STABLE_NOISE, 139),
+        ("sine", BASE["noise"], 139)],
+        ids=["sine-stable", "constant-stable", "sine-atoms"])
+    def test_blocks_count_the_raw_surrogate_feed(self, monkeypatch,
+                                                 coefficients, noise, rows):
+        # M=16 on 256 cells: a sigma that reads the state feeds the solver
+        # one raw 8192-value tile per stable path, which the block counts;
+        # a constant sigma or atom noise has no such feed
+        config = RunConfig(coefficients=coefficients, noise=noise,
+                           K_schedule=[1.0, 2.0, 4.0, 8.0])
+        setup = config.build()
+        bas = setup.basis
+        assert bas.cell_count == 256 and tile_height(256) * 256 == 8192
+        sizes = []
+
+        def recorded(paths, *args):
+            sizes.append(len(paths))
+            return [None] * len(paths)
+
+        monkeypatch.setattr(cli_mod, "paste_rows", recorded)
+        cli_mod._paste_seeds(config, setup, list(range(140)))
+        assert sizes[0] == rows and sum(sizes) == 140
+        if rows == 26:
+            per_row = (bas.grid_size + (setup.n_steps + 1) * bas.mode_count
+                       + 8192)
+            assert rows * per_row <= fswe.solver._BLOCK_VALUES
+
     def test_ensemble_worker_builds_setup_once(self, monkeypatch):
         builds = []
         build = RunConfig.build
@@ -272,6 +321,21 @@ class TestCommands:
         out = tmp_path / "ver"
         rc = main(["--config", str(cfg), "--seed", "7", "--out", str(out),
                    "--replicas", "4", "--suite", "additive", "verify"])
+        assert rc == 2
+        assert "finite-variance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_tail_rejects_infinite_variance(self, tmp_path, capsys):
+        # its reference would be inf, so every verdict would pass: a
+        # config error, and no report
+        payload = dict(BASE, coefficients="linear", n_steps=20,
+                       noise={"variant": "stable", "alpha": 1.0,
+                              "cutoff": 0.01},
+                       K_schedule=[1.0, 2.0])
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "ver"
+        rc = main(["--config", str(cfg), "--seed", "7", "--out", str(out),
+                   "--replicas", "8", "--suite", "tail", "verify"])
         assert rc == 2
         assert "finite-variance" in capsys.readouterr().err
         assert not out.exists()

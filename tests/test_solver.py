@@ -15,7 +15,7 @@ from fswe.noise import (GaussianSurrogate, LevyMeasureSpec, grid_times,
                         sample_path, truncate, zero_after)
 from fswe.solver import (COEFFICIENT_PRESETS, CoefficientPair, ModeState,
                          SolverError, clamp_radius, detect_stop, make_setup,
-                         paste_over_K, paste_over_N, paste_rows, row_groups,
+                         jump_table, paste_over_K, paste_over_N, paste_rows,
                          solve_rows, solve_truncated, solve_untruncated, step)
 
 RADEMACHER = LevyMeasureSpec(variant="atoms", atoms=((1.0, 0.5), (-1.0, 0.5)))
@@ -87,13 +87,13 @@ class TestCoefficients:
                              1.0, 1.0, "square")
         _, seen = _kernel_arguments(sq, [3.0], N=1, C_inf=2.0)
         assert sq.b(seen["b"])[0].max() == pytest.approx(4.0)
-        assert sq.sigma(seen["sigma"])[0, 0] == pytest.approx(2.0)
+        assert sq.sigma(seen["sigma"])[0] == pytest.approx(2.0)
         # cubic clamped at 1.5: (1.5)^3 = 3.375
         cube = CoefficientPair(lambda x: np.asarray(x)**3, lambda x: x,
                                1.0, 1.0, "cube")
         _, seen = _kernel_arguments(cube, [9.0], N=1, C_inf=1.5)
         assert cube.b(seen["b"])[0].max() == pytest.approx(3.375)
-        assert cube.sigma(seen["sigma"])[0, 0] == pytest.approx(1.5)
+        assert cube.sigma(seen["sigma"])[0] == pytest.approx(1.5)
 
     def test_identity_inside_radius(self):
         pair = COEFFICIENT_PRESETS["clamped_cubic"]
@@ -102,7 +102,8 @@ class TestCoefficients:
         assert np.abs(field).max() == 2.0
         np.testing.assert_array_equal(seen["b"], field)
         np.testing.assert_array_equal(pair.b(seen["b"]), pair.b(field))
-        at_jump = field[:, [len(field[0]) // 2]]
+        # one value per (row, jump) line: each row's one jump
+        at_jump = field[:, len(field[0]) // 2]
         np.testing.assert_array_equal(seen["sigma"], at_jump)
 
 
@@ -138,7 +139,7 @@ def _kernel_arguments(pair, peaks, N, C_inf):
         path_for(basis, 0, n_steps=1), jump_times=np.zeros(1),
         jump_positions=np.full((1, 1), 0.5), jump_sizes=np.ones(1))
     radius = np.full(len(peaks), clamp_radius(N, C_inf))
-    step(state, row_groups([path] * len(peaks), setup), 0, setup, radius,
+    step(state, jump_table([path] * len(peaks), setup), 0, setup, radius,
          None)
     return basis.synthesize(state.u), {name: calls[-1]
                                        for name, calls in seen.items()}
@@ -616,12 +617,12 @@ def _recorded_surrogates(monkeypatch):
     calls = []
     step = fswe.solver.step
 
-    def recording(state, groups, n, setup, radius, surrogate):
+    def recording(state, table, n, setup, radius, surrogate):
         if surrogate is not None:
             rows, dW = surrogate
             rows = np.arange(len(state.u))[rows]
             calls.append((n, rows, np.array(dW)))
-        return step(state, groups, n, setup, radius, surrogate)
+        return step(state, table, n, setup, radius, surrogate)
 
     monkeypatch.setattr(fswe.solver, "step", recording)
     return calls
@@ -1013,14 +1014,15 @@ class TestKDrivers:
     level."""
 
     def test_paste_rows_groups_the_rows_once(self, basis, monkeypatch):
+        # the rows' jumps go into one jump table, built once per pass
         calls = []
-        groups = fswe.solver.row_groups
+        table = fswe.solver.jump_table
 
         def counted(paths, setup):
             calls.append(len(paths))
-            return groups(paths, setup)
+            return table(paths, setup)
 
-        monkeypatch.setattr(fswe.solver, "row_groups", counted)
+        monkeypatch.setattr(fswe.solver, "jump_table", counted)
         setup = setup_for(basis, "wave", n_steps=50)
         paths = [path_for(basis, s, spec=STABLE) for s in range(8)]
         pasted = paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
@@ -1157,8 +1159,8 @@ class TestCoefficientRule:
 
 
 def _jump_step(d, preset, shapes, seed=3, n=2):
-    """A state and one step n whose groups have shapes[i] = (jump count,
-    rows) each, the rows of the groups interleaved, random accumulators and
+    """A state and one step n whose paths have shapes[i] = (jump count,
+    rows) each, the rows of the paths interleaved, random accumulators and
     a mix of clamped and unclamped rows. Returns (setup, state, rows' paths,
     radius, stepped state)."""
     basis = build_basis(d, 8 if d == 1 else 12)
@@ -1180,20 +1182,25 @@ def _jump_step(d, preset, shapes, seed=3, n=2):
     state = ModeState(n * setup.dt, *rng.normal(size=(5, rows, M)))
     radius = np.where(rng.uniform(size=rows) < 0.5, np.inf,
                       clamp_radius(1, setup.C_inf) * 0.05)
-    new = step(state, row_groups(row_paths, setup), n, setup, radius, None)
+    new = step(state, jump_table(row_paths, setup), n, setup, radius, None)
     return setup, state, row_paths, radius, new
 
 
 class TestJumpScatter:
-    """step scatters the jumps of a bucket of groups, one (jump count, rows
-    per group) pair, with one stacked product, and every row keeps the
-    bytes of its own one-row products."""
+    """step adds every row's jumps of a step with one rule, for a sigma
+    that reads the state and for a constant one, and every row keeps the
+    bytes of its own one-row formula."""
 
     SHAPES = [(J, k) for J in (1, 2, 3) for k in (1, 3, 5)] + [(2, 3), (3, 5)]
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("preset", ["wave", "linear"])
+    @pytest.mark.parametrize("preset", ["wave", "linear", "constant",
+                                        "additive"])
     def test_rows_keep_their_one_row_products(self, d, preset):
+        # row i adds np.add.reduceat of its own terms
+        # (cos(omega t_j) e(x_j)) sigma(u_i(x_j)) z_j over its jumps, the
+        # field u_i(x_j) = sum_k u_ik e_k(x_j) clamped at +-radius[i];
+        # sigma = 1 ignores the field
         setup, state, row_paths, radius, new = _jump_step(d, preset,
                                                           self.SHAPES)
         n, Mc, Ms = 2, state.mart_cos.copy(), state.mart_sin.copy()
@@ -1201,58 +1208,55 @@ class TestJumpScatter:
         for i, path in enumerate(row_paths):
             lo, hi = path.jump_bounds()[n:n + 2]
             assert hi - lo == len(path.jump_times)
-            modes = setup.basis.evaluate_modes(path.jump_positions[lo:hi])
-            phase = np.outer(setup.omega, path.jump_times[lo:hi])
-            cos_modes, sin_modes = np.cos(phase) * modes, np.sin(phase) * modes
-            cols = slice(0, hi - lo)
-            x = state.u[i] @ np.ascontiguousarray(modes[:, cols])
+            modes = setup.basis.evaluate_modes(path.jump_positions[lo:hi]).T
+            x = np.array([np.sum(state.u[i] * e) for e in modes])
             clamped |= bool(np.any(np.abs(x) > radius[i]))
             x = np.minimum(np.maximum(x, -radius[i]), radius[i])
             w = setup.pair.sigma(x) * path.jump_sizes[lo:hi]
-            Mc[i] += np.ascontiguousarray(cos_modes[:, cols]) @ w
-            Ms[i] += np.ascontiguousarray(sin_modes[:, cols]) @ w
+            for acc, trig in ((Mc, np.cos), (Ms, np.sin)):
+                terms = [trig(t * setup.omega) * e * wj for t, e, wj in zip(
+                    path.jump_times[lo:hi], modes, w)]
+                acc[i] += np.add.reduceat(np.array(terms), [0], axis=0)[0]
         assert new.mart_cos.tobytes() == Mc.tobytes()
         assert new.mart_sin.tobytes() == Ms.tobytes()
-        # the clamp and the jumps both did work, beside unclamped rows
+        # the jumps did work, beside unclamped rows; the clamp did too
+        # where sigma reads the field
         assert clamped and np.any(np.isinf(radius))
         assert not np.array_equal(Mc, state.mart_cos)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("preset", ["constant", "additive"])
-    def test_constant_sigma_adds_each_groups_sum(self, d, preset):
-        # sigma = 1: a row gets np.add.reduceat of its own group's terms
-        # (cos(omega t) e(x)) z over the step's jumps, whatever the other
-        # groups; a lone jump adds the one product the bucketed scatter
-        # gave it
-        setup, state, row_paths, radius, new = _jump_step(d, preset,
-                                                          self.SHAPES)
-        n, Mc, Ms = 2, state.mart_cos.copy(), state.mart_sin.copy()
-        for i, path in enumerate(row_paths):
-            lo, hi = path.jump_bounds()[n:n + 2]
-            modes = setup.basis.evaluate_modes(path.jump_positions[lo:hi])
-            sums = []
-            for trig in (np.cos, np.sin):
-                terms = [trig(t * setup.omega) * e * z for t, e, z in zip(
-                    path.jump_times[lo:hi], modes.T, path.jump_sizes[lo:hi])]
-                total = np.add.reduceat(np.array(terms), [0], axis=0)[0]
-                sums.append(total)
-                if hi - lo == 1:
-                    phase = np.outer(setup.omega, path.jump_times[lo:hi])
-                    product = (trig(phase) * modes) @ path.jump_sizes[lo:hi]
-                    assert total.tobytes() == product.tobytes()
-            Mc[i] += sums[0]
-            Ms[i] += sums[1]
-        assert new.mart_cos.tobytes() == Mc.tobytes()
-        assert new.mart_sin.tobytes() == Ms.tobytes()
-        assert not np.array_equal(Mc, state.mart_cos)
+    def test_table_lines_are_each_rows_jumps_of_the_step(self, basis):
+        # step n's lines, in row order, are each row's own jumps of step n
+        # (jump_bounds) in time order, the first of each marked; rows that
+        # share a path hold copies
+        setup = setup_for(basis, "wave", n_steps=5)
+        paths = [path_for(basis, s, n_steps=5, spec=PM3) for s in range(3)]
+        rows = [paths[0], paths[1], paths[0], paths[2], paths[0]]
+        table = jump_table(rows, setup)
+        assert table.edges[0] == 0 and table.edges[-1] == len(table.times)
+        several = False
+        for n in range(5):
+            lines = slice(table.edges[n], table.edges[n + 1])
+            of = table.rows[lines]
+            assert np.all(np.diff(of) >= 0)
+            for i, path in enumerate(rows):
+                lo, hi = path.jump_bounds()[n:n + 2]
+                mine = np.flatnonzero(of == i)
+                several |= hi - lo > 1
+                for got, want in ((table.times, path.jump_times),
+                                  (table.positions, path.jump_positions),
+                                  (table.sizes, path.jump_sizes)):
+                    assert got[lines][mine].tobytes() == \
+                        want[lo:hi].tobytes()
+                marks = [True] + [False] * (hi - lo - 1)
+                assert table.first[lines][mine].tolist() == marks[:hi - lo]
+        assert several
 
-    @pytest.mark.parametrize("shapes, buckets", [
-        ([(1, 1)] * 16, 1),
-        ([(1, 1)] * 8 + [(2, 1)] * 8, 2),
-        ([(1, 1), (1, 3), (2, 1), (2, 3)] * 4, 4),
+    @pytest.mark.parametrize("shapes", [
+        [(1, 1)] * 16,
+        [(1, 1)] * 8 + [(2, 1)] * 8,
+        [(1, 1), (1, 3), (2, 1), (2, 3)] * 4,
     ])
-    def test_sigma_evaluated_once_per_bucket(self, monkeypatch, shapes,
-                                             buckets):
+    def test_sigma_evaluated_once_per_step(self, monkeypatch, shapes):
         seen = []
         coefficient = fswe.solver._coefficient
 
@@ -1266,7 +1270,7 @@ class TestJumpScatter:
         _jump_step(1, "wave", shapes)
         # the drift reads b = sin once; symmetric atoms: no compensator
         assert seen.count(np.sin) == 1
-        assert seen.count(np.cos) == buckets
+        assert seen.count(np.cos) == 1
 
 
 class TestConstantProjections:
@@ -1394,9 +1398,9 @@ class TestGridTimes:
         assert cos_t[-1].tobytes() == np.cos(setup.omega * 1.0).tobytes()
         assert sin_t[-1].tobytes() == np.sin(setup.omega * 1.0).tobytes()
         state = ModeState.zero((1, basis.mode_count))
-        groups = row_groups([path], setup)
+        table = jump_table([path], setup)
         for n in range(49):
-            state = step(state, groups, n, setup, np.array([np.inf]), None)
+            state = step(state, table, n, setup, np.array([np.inf]), None)
             assert state.t == setup.times[n + 1]
         assert state.t == 1.0
 
@@ -1435,12 +1439,12 @@ def _field_step(d, preset, spec, u, radius, seed=5, n=2):
         jump_sizes=np.array([1.5, -0.5]))
     accumulators = rng.normal(size=(4,) + u.shape)
     state = ModeState(n * setup.dt, *accumulators, u=u)
-    new = step(state, row_groups([path] * len(u), setup), n, setup, radius,
+    new = step(state, jump_table([path] * len(u), setup), n, setup, radius,
                None)
     arguments = {name: list(calls) for name, calls in seen.items()}
     lone = [step(ModeState(n * setup.dt, *accumulators[:, i:i + 1],
                            u=u[i:i + 1]),
-                 row_groups([path], setup), n, setup, radius[i:i + 1], None)
+                 jump_table([path], setup), n, setup, radius[i:i + 1], None)
             for i in range(len(u))]
     return new, lone, arguments
 

@@ -151,6 +151,14 @@ class TestBoundSuites:
                                base_seed=4, corrupt=True)
         assert not rep.passed
 
+    def test_tail_bound_rejects_infinite_variance(self, setup):
+        # its reference would be inf: every verdict, corrupt mode
+        # included, would pass
+        for corrupt in (False, True):
+            with pytest.raises(ValueError, match="finite-variance"):
+                check_tail_bound(setup, STABLE, N_values=(1, 2), R=4,
+                                 corrupt=corrupt)
+
     def test_tail_bound_steps_once_per_grid_step(self, setup, monkeypatch):
         # 20 replicas x 5 levels fit one block: one step call per grid step
         calls = []

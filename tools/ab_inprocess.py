@@ -6,7 +6,7 @@
 Each checkout's ``src/fswe`` is loaded into this one process, as the
 packages ``fswe_a`` and ``fswe_b`` (the package imports itself only by
 relative imports, so two copies live side by side). The benchmark's three
-workload shapes, and one more, are rebuilt here from the public API:
+workload shapes, and two more, are rebuilt here from the public API:
 
 - ``d1_tail_suite``: ``verify.check_tail_bound`` with d=1, M=16, gamma=2,
   r=1, 100 steps, b=sin, sigma=cos, Rademacher atoms, N in (1, 2, 4, 8,
@@ -18,7 +18,10 @@ workload shapes, and one more, are rebuilt here from the public API:
   50 steps and the same noise;
 - ``d1_sine_ensemble``: ``d1_stable_ensemble`` with ``sine`` coefficients,
   a sigma that reads the state, so the surrogate's raw increments feed the
-  solver; no benchmark workload runs that path.
+  solver; no benchmark workload runs that path;
+- ``d1_constant_tail``: ``d1_tail_suite`` with ``constant`` coefficients:
+  the five rows of each replica share its path, and sigma ignores the
+  state, so every row's jump sums are the same terms.
 
 Before timing, both sides run two fixed seeds and must give byte-identical
 outputs (CLI files byte for byte, ``runtime_seconds`` of ``summary.json``
@@ -54,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("d1_tail_suite", "d1_stable_ensemble", "d2_stable_simulate",
-             "d1_sine_ensemble")
+             "d1_sine_ensemble", "d1_constant_tail")
 CHECK_SEEDS = (11, 12)
 
 _STABLE = {"variant": "stable", "alpha": 1.0, "cutoff": 0.01}
@@ -82,12 +85,14 @@ def load_package(checkout: Path, name: str):
 
 
 class TailSuite:
-    """check_tail_bound at criterion 07's shape; its output is the
-    report's verdicts."""
+    """check_tail_bound at criterion 07's shape, with b=sin and sigma=cos,
+    or with the ``constant`` preset; its output is the report's
+    verdicts."""
 
-    def __init__(self, fswe):
+    def __init__(self, fswe, constant: bool = False):
         self.fswe = fswe
-        pair = fswe.CoefficientPair(np.sin, np.cos, 1.0, 1.0, "wave")
+        pair = (fswe.COEFFICIENT_PRESETS["constant"] if constant
+                else fswe.CoefficientPair(np.sin, np.cos, 1.0, 1.0, "wave"))
         self.setup = fswe.make_setup(fswe.build_basis(1, 16), 2.0, 1.0, 1.0,
                                      100, pair)
         self.spec = fswe.LevyMeasureSpec(variant="atoms",
@@ -187,8 +192,8 @@ def describe_difference(a: list[tuple[str, bytes]],
 
 
 def make_workload(name: str, fswe, work: Path):
-    if name == "d1_tail_suite":
-        return TailSuite(fswe)
+    if name in ("d1_tail_suite", "d1_constant_tail"):
+        return TailSuite(fswe, constant=name == "d1_constant_tail")
     work.mkdir(parents=True)
     return CliRun(fswe, work, name)
 
