@@ -25,7 +25,8 @@ import numpy as np
 
 from .basis import EigenBasis, build_basis
 from .noise import (DEFAULT_STABLE_CUTOFF, LevyMeasureSpec, NoisePath,
-                    export_path, sample_path, spec_from_dict, spec_to_dict)
+                    export_path, is_number, sample_path, spec_from_dict,
+                    spec_to_dict)
 from .solver import (COEFFICIENT_PRESETS, SolveSetup, Trajectory,
                      check_K_schedule, check_exponents, make_setup,
                      paste_rows, row_blocks)
@@ -75,16 +76,16 @@ class RunConfig:
         wrong JSON type, before any check compares it."""
         for key in ("dimension", "modes", "n_steps", "N_max", "grid_size"):
             value = getattr(self, key)
-            if not (_is_number(value, int)
+            if not (is_number(value, int)
                     or (key == "grid_size" and value is None)):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         for key in ("gamma", "r", "T"):
             value = getattr(self, key)
-            if not _is_number(value):
+            if not is_number(value):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
         ks = self.K_schedule
         if ks is not None and not (isinstance(ks, (list, tuple))
-                                   and all(map(_is_number, ks))):
+                                   and all(map(is_number, ks))):
             raise ConfigError(
                 f"K_schedule must be a list of numbers or null, got {ks!r}")
         if not isinstance(self.coefficients, str):
@@ -106,12 +107,6 @@ class RunConfig:
              if f.name != "noise"}
         d["noise"] = spec_to_dict(self.levy_spec())
         return d
-
-
-def _is_number(value, kind: type | tuple = (int, float)) -> bool:
-    """Whether value is a JSON number of the kind: a JSON true or false
-    is a Python bool, which is an int but not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -423,16 +423,29 @@ def spec_to_dict(spec: LevyMeasureSpec) -> dict:
     return d
 
 
+def is_number(value, kind: type | tuple = (int, float)) -> bool:
+    """Whether value is a JSON number of the kind: a JSON true or false
+    is a Python bool, which is an int but not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def spec_from_dict(d: dict) -> LevyMeasureSpec:
     """The spec of a dict of LevyMeasureSpec fields (spec_to_dict's form).
     Every key is passed through, so the spec checks each one it is given:
-    a key of the other variant is an error, not dropped."""
+    a key of the other variant is an error, not dropped. A value of the
+    wrong JSON type is a NoiseError naming its key."""
     d = dict(d)
+    for key in ("alpha", "cutoff"):
+        if d.get(key) is not None and not is_number(d[key]):
+            raise NoiseError(f"noise {key} must be a number, got {d[key]!r}")
     if d.get("variant") == "atoms":
-        if "atoms" not in d:
-            raise NoiseError("an atom measure needs its atoms: a list of "
-                             "[z, rate] pairs")
-        d["atoms"] = tuple(tuple(a) for a in d["atoms"])
+        atoms = d.get("atoms")
+        if not (isinstance(atoms, (list, tuple)) and all(
+                isinstance(a, (list, tuple)) and len(a) == 2
+                and all(map(is_number, a)) for a in atoms)):
+            raise NoiseError("noise atoms must be a list of [z, rate] "
+                             f"number pairs, got {atoms!r}")
+        d["atoms"] = tuple(tuple(a) for a in atoms)
     elif d.get("variant") == "stable":
         d.setdefault("cutoff", DEFAULT_STABLE_CUTOFF)
     else:

@@ -1,16 +1,16 @@
 """Mode-wise time stepping of the mild solution, coefficient truncation,
 stopping-time detection, and the two pasting constructions.
 
-The field is advanced through four accumulators per mode: drift accumulators
-A, B and martingale accumulators Mc, Ms, with the identity
+Each mode k keeps two Duhamel sums, C_k and S_k: the integrals of
+cos(omega_k s) and sin(omega_k s) against its forcing (b - m1 sigma) ds and
+its martingale sigma dN (jumps and Gaussian surrogate), with
 
-    u_k(t) = omega_k^{-1} [ sin(omega_k t) (A_k + Mc_k)
-                          - cos(omega_k t) (B_k + Ms_k) ],
+    u_k(t) = omega_k^{-1} [ sin(omega_k t) C_k - cos(omega_k t) S_k ],
 
 omega_k = lambda_k^{gamma/2}. Expanding sin(omega (t-s)) turns the Duhamel
-convolution into running integrals against cos(omega s) and sin(omega s), so
-a step costs O(M) with no history. Drift and diffusion are evaluated at the
-step start (left-point rule), the discrete counterpart of predictability.
+convolution into these running sums, so a step costs O(M) with no history.
+The forcing and sigma are evaluated at the step start (left-point rule),
+the discrete counterpart of predictability.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def _coefficient(f, field: np.ndarray, radius: np.ndarray) -> np.ndarray:
     float unchanged, inf and NaN included. The field is clamped in place,
     so no copy of it is held while f runs, and clamping it again at the
     same radius changes nothing. Only a coefficient that reads its
-    argument comes here: one that ignores it (_constant) enters through a
-    projection made without the field (see step)."""
+    argument comes here: one that ignores it (_constant) enters by its
+    value, with no field made for it (_forcing, _add_jumps)."""
     # np.clip's values, in half its time for per-row radii
     np.maximum(field, -radius, out=field)
     return f(np.minimum(field, radius, out=field))
@@ -172,27 +172,14 @@ class SolveSetup:
         times.flags.writeable = False
         return times
 
-    def _constant_projection(self, f) -> np.ndarray | None:
-        """analyze(quad_weights * f), shape (M,) and read-only, when f
-        ignores its argument (_constant); None otherwise."""
-        value = _constant(f)
-        if value is None:
-            return None
-        projection = self.basis.analyze(self.basis.quad_weights * value)
+    @functools.cached_property
+    def unit_projection(self) -> np.ndarray:
+        """analyze(quad_weights), the projection of the field 1, shape (M,)
+        and read-only, computed once per setup: a forcing that ignores the
+        state is its value times these bytes (_forcing)."""
+        projection = self.basis.analyze(self.basis.quad_weights)
         projection.flags.writeable = False
         return projection
-
-    @functools.cached_property
-    def drift_projection(self) -> np.ndarray | None:
-        """The drift's projection when b ignores the state, computed once
-        per setup: every row of every step gets these bytes."""
-        return self._constant_projection(self.pair.b)
-
-    @functools.cached_property
-    def compensator_projection(self) -> np.ndarray | None:
-        """The compensator's projection when sigma ignores the state,
-        computed once per setup like drift_projection."""
-        return self._constant_projection(self.pair.sigma)
 
     @functools.cached_property
     def phases(self) -> tuple[np.ndarray, np.ndarray]:
@@ -215,36 +202,32 @@ def make_setup(basis: EigenBasis, gamma: float, r: float, T: float,
 
 @dataclass
 class ModeState:
-    """Accumulators and current coefficients at one grid time.
+    """The two Duhamel sums and the current coefficients at one grid time.
 
     The arrays have shape (M,) for one field, or (rows, M) for the batch of
     rows that step advances together.
     """
 
     t: float
-    drift_cos: np.ndarray   # A_k
-    drift_sin: np.ndarray   # B_k
-    mart_cos: np.ndarray    # Mc_k
-    mart_sin: np.ndarray    # Ms_k
+    cos_sum: np.ndarray     # C_k
+    sin_sum: np.ndarray     # S_k
     u: np.ndarray           # current mode coefficients
 
     @classmethod
     def zero(cls, shape: int | tuple[int, int]) -> "ModeState":
         """The zero state at t=0; shape is M or (rows, M)."""
-        return cls(t=0.0, drift_cos=np.zeros(shape), drift_sin=np.zeros(shape),
-                   mart_cos=np.zeros(shape), mart_sin=np.zeros(shape),
+        return cls(t=0.0, cos_sum=np.zeros(shape), sin_sum=np.zeros(shape),
                    u=np.zeros(shape))
 
     def rebuild_u(self, omega: np.ndarray, cos_t: np.ndarray | None = None,
                   sin_t: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients implied by the accumulator identity at time t.
+        """Coefficients implied by the two sums at time t.
 
         cos_t and sin_t are cos(omega t) and sin(omega t); they are computed
         here when the caller does not pass them."""
         if cos_t is None:
             cos_t, sin_t = np.cos(omega * self.t), np.sin(omega * self.t)
-        return (sin_t * (self.drift_cos + self.mart_cos)
-                - cos_t * (self.drift_sin + self.mart_sin)) / omega
+        return (sin_t * self.cos_sum - cos_t * self.sin_sum) / omega
 
 
 def hr_norm_at(state: ModeState, setup: SolveSetup):
@@ -366,78 +349,80 @@ def step(state: ModeState, table: JumpTable, n: int,
     Row i is driven by its jumps of step n in ``table`` and clamps the
     argument of b and sigma at +-radius[i] (inf: not at all).
     ``surrogate`` is None or (rows, values), the rows a surrogate drives in
-    step n and one value row each (_surrogate_rows). Every product is a
-    stack of one-row products or a product of one surrogate's tile of
-    fixed height, and _add_jumps sums each row's own jumps, so a row gets
-    the same bytes in any batch, alone included.
-
-    When b or the compensator reads the state, the grid field is
-    synthesized once for both, on the rows _field_rows picks: the all-zero
-    rows bitwise equal to the first one (every row until its path's first
-    jump when b(0) = 0) share one evaluation, with the bytes each computes
-    alone. A zero row has norm 0, so no tau_N rests on the sharing.
+    step n and one value row each (_surrogate_rows). Three increments go
+    into the two sums, in this order: the forcing b - m1 sigma (_forcing),
+    the jumps (_add_jumps) and the surrogate. Every product is a stack of
+    one-row products or a product of one surrogate's tile of fixed height,
+    and _add_jumps sums each row's own jumps, so a row gets the same bytes
+    in any batch, alone included.
     """
     bas = setup.basis
-    pair = setup.pair
-    dt = setup.dt
     cos_t, sin_t = setup.phases
     u = state.u
-    r = radius[:, None]
-    A, B = state.drift_cos, state.drift_sin
-    Mc, Ms = state.mart_cos.copy(), state.mart_sin.copy()
-    drifts = pair.D_b != 0.0
-    compensates = table.m1 != 0.0 and pair.D_sigma != 0.0
-    beta, comp = setup.drift_projection, setup.compensator_projection
-    if (drifts and beta is None) or (compensates and comp is None):
-        # the grid field, synthesized once for the drift and the
-        # compensator: the drift's _coefficient clamps it in place, at the
-        # radius the compensator's clamps it again
-        rows, item = _field_rows(u, radius)
-        grid = bas.synthesize(u[rows, None])[:, 0]
-        if drifts and beta is None:
-            beta = bas.analyze(bas.quad_weights * _coefficient(
-                pair.b, grid, r[rows]))[item]
-        if compensates and comp is None:
-            comp = bas.analyze(bas.quad_weights * _coefficient(
-                pair.sigma, grid, r[rows]))[item]
+    C, S = state.cos_sum.copy(), state.sin_sum.copy()
+    forcing = _forcing(u, radius, table.m1, setup)
+    if forcing is not None:
+        C += setup.dt * cos_t[n] * forcing
+        S += setup.dt * sin_t[n] * forcing
 
-    if drifts:
-        A = A + dt * cos_t[n] * beta
-        B = B + dt * sin_t[n] * beta
-
-    sigma = _constant(pair.sigma)
+    sigma = _constant(setup.pair.sigma)
     if sigma != 0.0:
-        # sigma = 0: its jumps would add +-0, which leaves the +0 of Mc
-        # and Ms in a solve as it is
-        _add_jumps(Mc, Ms, u, radius, table, n, setup, sigma)
-
-    if compensates:
-        # compensator of asymmetric finite-activity jumps, left-point rule
-        Mc -= table.m1 * dt * cos_t[n] * comp
-        Ms -= table.m1 * dt * sin_t[n] * comp
+        # sigma = 0: its jumps would add +-0, which leaves the +0 of C and
+        # S in a solve as it is
+        _add_jumps(C, S, u, radius, table, n, setup, sigma)
 
     if surrogate is not None:
         # every surrogate-driven row in one stacked projection, unless
         # _surrogate_rows projected the increments already
         rows, proj = surrogate
         if sigma is None:   # proj holds the increments dW
-            sig = _coefficient(
-                pair.sigma, bas.synthesize(u[rows, None], "cells")[:, 0],
-                r[rows])
+            grid = bas.synthesize(u[rows, None], "cells")[:, 0]
+            sig = _coefficient(setup.pair.sigma, grid, radius[rows, None])
             proj = bas.analyze(sig * proj, "cells")
-        Mc[rows] += cos_t[n] * proj
-        Ms[rows] += sin_t[n] * proj
+        C[rows] += cos_t[n] * proj
+        S[rows] += sin_t[n] * proj
 
-    new = ModeState(t=float(setup.times[n + 1]), drift_cos=A, drift_sin=B,
-                    mart_cos=Mc, mart_sin=Ms, u=u)
+    new = ModeState(t=float(setup.times[n + 1]), cos_sum=C, sin_sum=S, u=u)
     new.u = new.rebuild_u(setup.omega, cos_t[n + 1], sin_t[n + 1])
     return new
 
 
-def _add_jumps(Mc: np.ndarray, Ms: np.ndarray, u: np.ndarray,
+def _forcing(u: np.ndarray, radius: np.ndarray, m1: float,
+             setup: SolveSetup) -> np.ndarray | None:
+    """The projected left-point forcing analyze(quad_weights (b - m1 sigma))
+    of every row, clamped at +-radius; None when it is 0. A coefficient
+    whose growth constant is 0 adds nothing, nor does sigma when m1 is 0.
+
+    When b and sigma both ignore the state (_constant) the forcing is
+    (b0 - m1 sigma0) setup.unit_projection, shape (M,). Otherwise both are
+    evaluated on one clamped grid field, made on the rows _field_rows picks
+    (the zero rows share one); a zero row has norm 0, so no tau_N rests on
+    the sharing.
+    """
+    pair = setup.pair
+    b = pair.b if pair.D_b != 0.0 else _zero
+    sigma = pair.sigma if m1 != 0.0 and pair.D_sigma != 0.0 else _zero
+    b0, sigma0 = _constant(b), _constant(sigma)
+    if b0 is not None and sigma0 is not None:
+        value = b0 - m1 * sigma0
+        return value * setup.unit_projection if value != 0.0 else None
+    bas = setup.basis
+    rows, item = _field_rows(u, radius)
+    grid = bas.synthesize(u[rows, None])[:, 0]
+    r = radius[rows, None]
+    # b's _coefficient clamps the field in place; sigma's clamps it again
+    # at the same radius, which changes nothing
+    f = _coefficient(b, grid, r) if b0 is None else b0
+    if sigma is not _zero:
+        f = f - m1 * (_coefficient(sigma, grid, r) if sigma0 is None
+                      else sigma0)
+    return bas.analyze(bas.quad_weights * f)[item]
+
+
+def _add_jumps(C: np.ndarray, S: np.ndarray, u: np.ndarray,
                radius: np.ndarray, table: JumpTable, n: int,
                setup: SolveSetup, sigma: float | None) -> None:
-    """Add every row's jumps of step n to Mc and Ms in place: line j, a
+    """Add every row's jumps of step n to C and S in place: line j, a
     jump of row i, gives (cos(omega t_j) e(x_j)) w_j and the same with sin,
     w_j = sigma z_j for the constant ``sigma`` and otherwise
     sigma(u_i(x_j)) z_j, the field u_i(x_j) = sum_k u_ik e_k(x_j) frozen at
@@ -457,7 +442,7 @@ def _add_jumps(Mc: np.ndarray, Ms: np.ndarray, u: np.ndarray,
         sigma = _coefficient(setup.pair.sigma, np.sum(u[of] * modes, axis=1),
                              radius[of])
     w = (sigma * table.sizes[lines])[:, None]
-    for acc, trig in ((Mc, np.cos), (Ms, np.sin)):
+    for acc, trig in ((C, np.cos), (S, np.sin)):
         acc[rows] += np.add.reduceat(trig(phase) * modes * w, starts, axis=0)
 
 
@@ -470,20 +455,20 @@ _BLOCK_VALUES = 1 << 18
 
 
 def row_blocks(setup: SolveSetup, count: int, rows: int = 1,
-               kept: int = 0, spec: LevyMeasureSpec | None = None
-               ) -> list[range]:
+               kept: int = 0, spec: LevyMeasureSpec | None = None,
+               surrogates: int = 1) -> list[range]:
     """Consecutive ranges of ``count`` items (replicas, say), each small
     enough that its rows (``rows`` per item) times the grid points, plus
-    ``kept`` coefficient histories per item and the raw tile of the one
-    surrogate an item's rows share (_surrogate_rows: sigma reads the
-    state, noise ``spec`` has a surrogate), stay within _BLOCK_VALUES."""
+    ``kept`` coefficient histories and the raw tiles of ``surrogates``
+    surrogates per item (_surrogate_rows: sigma reads the state, noise
+    ``spec`` has a surrogate), stay within _BLOCK_VALUES."""
     bas = setup.basis
     points = bas.grid_size ** bas.dimension
     history = (setup.n_steps + 1) * bas.mode_count
     feed = 0
     if (spec is not None and spec.small_jump_variance > 0.0
             and _constant(setup.pair.sigma) is None):
-        feed = tile_height(bas.cell_count) * bas.cell_count
+        feed = surrogates * tile_height(bas.cell_count) * bas.cell_count
     size = max(1, _BLOCK_VALUES // (rows * points + kept * history + feed))
     return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 

@@ -414,7 +414,10 @@ def consistency_suite(setup: SolveSetup, spec: LevyMeasureSpec,
     C_N = 0.05 * setup.C_inf if corrupt else setup.C_inf
     radius = [clamp_radius(N, C_N)] + [clamp_radius(N + 1, setup.C_inf)] * 2
     n_ok = k_ok = loc_ok = 0
-    for block in row_blocks(setup, n_seeds, rows=3, kept=3):
+    # blocks that fit both passes: a replica's three rows hold two
+    # surrogates (zero_after draws a new one), its two pasted rows one
+    for block in max(row_blocks(setup, n_seeds, 3, 3, spec, surrogates=2),
+                     row_blocks(setup, n_seeds, 2, 2, stable_spec), key=len):
         paths = _replica_paths(spec, setup, base_seed, block)
         norms, histories = solve_rows(
             [p for i, path in zip(block, paths)

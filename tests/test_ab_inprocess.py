@@ -24,11 +24,11 @@ def test_checkout_against_itself(capsys):
     # two copies of the package, not one module under two names
     assert packages[0] is not packages[1]
     assert packages[0].solver.step is not packages[1].solver.step
-    # the tail suite, with sigma = cos and with a constant sigma, and the
-    # raw surrogate feed of a sigma that reads the state, which no
-    # benchmark workload runs
+    # the tail suite, with sigma = cos, with a constant sigma and with the
+    # compensator of asymmetric atoms, and the raw surrogate feed of a
+    # sigma that reads the state; no benchmark workload runs the last two
     for workload in ("d1_tail_suite", "d1_constant_tail",
-                     "d1_sine_ensemble"):
+                     "d1_asymmetric_tail", "d1_sine_ensemble"):
         result = tool.compare(packages, workload, pairs=2, seed=5)
         assert result["pairs"] == 2 and 0 <= result["b_won"] <= 2
         assert result["q1"] <= result["median"] <= result["q3"]

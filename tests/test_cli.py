@@ -2,13 +2,16 @@ import csv
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import fswe.cli as cli_mod
 import fswe.solver
+import fswe.verify
 from fswe.cli import ConfigError, RunConfig, main, parse_config
-from fswe.noise import tile_height
+from fswe.noise import LevyMeasureSpec, tile_height
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -83,6 +86,28 @@ class TestConfigParsing:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,noise", [
+        ("alpha", dict(STABLE_NOISE, alpha="1.0")),
+        ("alpha", dict(STABLE_NOISE, alpha=True)),
+        ("cutoff", dict(STABLE_NOISE, cutoff="0.01")),
+        ("cutoff", dict(STABLE_NOISE, cutoff=False)),
+        ("atoms", {"variant": "atoms", "atoms": [["a", 0.5]]}),
+        ("atoms", {"variant": "atoms", "atoms": 5}),
+        ("atoms", {"variant": "atoms", "atoms": [[1.0]]}),
+        ("atoms", {"variant": "atoms", "atoms": [[1.0, True]]}),
+        ("atoms", {"variant": "atoms"})])
+    def test_wrong_noise_json_type_names_the_key(self, tmp_path, capsys,
+                                                 key, noise):
+        # a noise error (exit 2 naming the key), not a traceback (exit 1)
+        # nor a run with alpha = true read as 1
+        cfg = write_config(tmp_path, dict(BASE, noise=noise,
+                                          K_schedule=[1.0, 2.0]))
+        out = tmp_path / "x"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "simulate"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: noise {key} must")
         assert not out.exists()
 
     def test_k_schedule_must_increase(self):
@@ -227,6 +252,47 @@ class TestCommands:
             per_row = (bas.grid_size + (setup.n_steps + 1) * bas.mode_count
                        + 8192)
             assert rows * per_row <= fswe.solver._BLOCK_VALUES
+
+    @pytest.mark.parametrize("coefficients, noise, rows", [
+        ("linear", BASE["noise"], 21), ("linear", STABLE_NOISE, 11),
+        ("constant", STABLE_NOISE, 46)],
+        ids=["linear-atoms", "linear-stable", "constant-stable"])
+    def test_consistency_blocks_count_the_raw_surrogate_feed(
+            self, monkeypatch, coefficients, noise, rows):
+        # M=16 on 256 cells, the CLI's consistency call: a replica's
+        # three solved rows hold two surrogates when its noise is stable
+        # (zero_after draws a new one), its two pasted stable rows one;
+        # a constant sigma has no raw feed, and 3 rows + 3 histories rule
+        config = RunConfig(coefficients=coefficients, noise=noise,
+                           K_schedule=[1.0, 2.0])
+        setup = config.build()
+        bas = setup.basis
+        assert bas.cell_count == 256 and tile_height(256) * 256 == 8192
+        sizes = []
+
+        def solved(paths, setup, radius, keep):
+            sizes.append(len(paths) // 3)
+            shape = (len(paths), setup.n_steps + 1)
+            return np.zeros(shape), np.zeros(shape + (bas.mode_count,))
+
+        def pasted(paths, setup):
+            sizes.append(len(paths) // 2)
+            return [SimpleNamespace(coeffs=np.zeros(1))] * len(paths)
+
+        monkeypatch.setattr(fswe.verify, "solve_rows", solved)
+        monkeypatch.setattr(fswe.verify, "paste_rows", pasted)
+        stable = LevyMeasureSpec(**STABLE_NOISE)
+        fswe.verify.consistency_suite(setup, config.levy_spec(),
+                                      stable_spec=stable, n_seeds=50)
+        # each block's solve, then its paste
+        assert sizes[:2] == [rows, rows] and sum(sizes) == 2 * 50
+        if coefficients == "linear":
+            # (rows and histories, raw tiles) per replica of each pass
+            history = (setup.n_steps + 1) * bas.mode_count
+            main = 2 if noise is STABLE_NOISE else 0
+            for per, tiles in ((3, main), (2, 1)):
+                assert rows * (per * (bas.grid_size + history)
+                               + tiles * 8192) <= fswe.solver._BLOCK_VALUES
 
     def test_ensemble_worker_builds_setup_once(self, monkeypatch):
         builds = []

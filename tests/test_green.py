@@ -14,12 +14,12 @@ def params_1d():
 
 
 def green_coefficient(params, k, t):
-    """u_k at time t of the solver's accumulator identity with only
-    Mc_k = 1: the k-th mode coefficient sin(omega_k t)/omega_k of G_t."""
+    """u_k at time t of the solver's Duhamel-sum identity with only
+    C_k = 1: the k-th mode coefficient sin(omega_k t)/omega_k of G_t."""
     M = params.basis.mode_count
     state = ModeState.zero(M)
     state.t = t
-    state.mart_cos[k - 1] = 1.0
+    state.cos_sum[k - 1] = 1.0
     return float(state.rebuild_u(params.omega)[k - 1])
 
 

@@ -147,20 +147,20 @@ def _kernel_arguments(pair, peaks, N, C_inf):
 
 class TestModeState:
     def test_rebuild_identity(self):
-        # u_k = w^{-1}[sin(w t)(A+Mc) - cos(w t)(B+Ms)] for random state
+        # u_k = w^{-1}[sin(w t) C - cos(w t) S] for random sums, with the
+        # phases computed here or passed in
         rng = np.random.default_rng(1)
         M = 6
         omega = np.abs(rng.normal(size=M)) + 1.0
         s = ModeState.zero(M)
         s.t = 0.73
-        s.drift_cos = rng.normal(size=M)
-        s.drift_sin = rng.normal(size=M)
-        s.mart_cos = rng.normal(size=M)
-        s.mart_sin = rng.normal(size=M)
-        u = s.rebuild_u(omega)
-        expected = (np.sin(omega * s.t) * (s.drift_cos + s.mart_cos)
-                    - np.cos(omega * s.t) * (s.drift_sin + s.mart_sin)) / omega
-        np.testing.assert_allclose(u, expected, rtol=1e-12)
+        s.cos_sum = rng.normal(size=M)
+        s.sin_sum = rng.normal(size=M)
+        cos_t, sin_t = np.cos(omega * s.t), np.sin(omega * s.t)
+        expected = (sin_t * s.cos_sum - cos_t * s.sin_sum) / omega
+        assert s.rebuild_u(omega).tobytes() == expected.tobytes()
+        assert s.rebuild_u(omega, cos_t, sin_t).tobytes() == \
+            expected.tobytes()
 
 
 class TestDynamics:
@@ -1119,9 +1119,9 @@ class TestPathChecks:
 
 
 class TestCoefficientRule:
-    """step synthesizes the grid field at most once, shared by the drift
-    and the compensator, and no field for a coefficient that ignores its
-    argument."""
+    """step synthesizes the grid field at most once, shared by b and the
+    compensator's sigma in the one forcing, and no field for a coefficient
+    that ignores its argument."""
 
     @pytest.fixture
     def synthesized(self, monkeypatch):
@@ -1153,6 +1153,25 @@ class TestCoefficientRule:
         self._paste(basis, "linear", ASYMMETRIC, None)
         assert synthesized == ["grid"] * 30
 
+    @pytest.mark.parametrize("preset", ["sine", "wave"])
+    def test_forcing_is_one_grid_analyze_per_step(self, basis, monkeypatch,
+                                                  preset):
+        # asymmetric atoms: b and the compensator's sigma both read the
+        # field, and their difference b - m1 sigma is projected once; sine
+        # rows stay zero (b(0) = sigma(0) = 0), wave rows move
+        analyzed = []
+        analyze = fswe.basis.EigenBasis.analyze
+
+        def counted(self, v, where="grid"):
+            analyzed.append(where)
+            return analyze(self, v, where)
+
+        monkeypatch.setattr(fswe.basis.EigenBasis, "analyze", counted)
+        pasted = self._paste(basis, preset, ASYMMETRIC, None)
+        assert analyzed == ["grid"] * 30
+        assert any(np.any(t.coeffs != 0.0) for t in pasted) == \
+            (preset == "wave")
+
     def test_surrogate_synthesizes_the_cells(self, basis, synthesized):
         self._paste(basis, "linear", STABLE, (1.0, 2.0, 4.0))
         assert synthesized == ["grid", "cells"] * 30
@@ -1160,7 +1179,7 @@ class TestCoefficientRule:
 
 def _jump_step(d, preset, shapes, seed=3, n=2):
     """A state and one step n whose paths have shapes[i] = (jump count,
-    rows) each, the rows of the paths interleaved, random accumulators and
+    rows) each, the rows of the paths interleaved, random Duhamel sums and
     a mix of clamped and unclamped rows. Returns (setup, state, rows' paths,
     radius, stepped state)."""
     basis = build_basis(d, 8 if d == 1 else 12)
@@ -1179,7 +1198,7 @@ def _jump_step(d, preset, shapes, seed=3, n=2):
         ] * k
     row_paths = [row_paths[i] for i in rng.permutation(len(row_paths))]
     rows, M = len(row_paths), basis.mode_count
-    state = ModeState(n * setup.dt, *rng.normal(size=(5, rows, M)))
+    state = ModeState(n * setup.dt, *rng.normal(size=(3, rows, M)))
     radius = np.where(rng.uniform(size=rows) < 0.5, np.inf,
                       clamp_radius(1, setup.C_inf) * 0.05)
     new = step(state, jump_table(row_paths, setup), n, setup, radius, None)
@@ -1203,7 +1222,14 @@ class TestJumpScatter:
         # sigma = 1 ignores the field
         setup, state, row_paths, radius, new = _jump_step(d, preset,
                                                           self.SHAPES)
-        n, Mc, Ms = 2, state.mart_cos.copy(), state.mart_sin.copy()
+        # the jumps go on top of the forcing: the same step with no jumps
+        n = 2
+        still = dataclasses.replace(
+            row_paths[0], jump_times=np.empty(0),
+            jump_positions=np.empty((0, d)), jump_sizes=np.empty(0))
+        quiet = step(state, jump_table([still] * len(row_paths), setup), n,
+                     setup, radius, None)
+        C, S = quiet.cos_sum.copy(), quiet.sin_sum.copy()
         clamped = False
         for i, path in enumerate(row_paths):
             lo, hi = path.jump_bounds()[n:n + 2]
@@ -1213,16 +1239,16 @@ class TestJumpScatter:
             clamped |= bool(np.any(np.abs(x) > radius[i]))
             x = np.minimum(np.maximum(x, -radius[i]), radius[i])
             w = setup.pair.sigma(x) * path.jump_sizes[lo:hi]
-            for acc, trig in ((Mc, np.cos), (Ms, np.sin)):
+            for acc, trig in ((C, np.cos), (S, np.sin)):
                 terms = [trig(t * setup.omega) * e * wj for t, e, wj in zip(
                     path.jump_times[lo:hi], modes, w)]
                 acc[i] += np.add.reduceat(np.array(terms), [0], axis=0)[0]
-        assert new.mart_cos.tobytes() == Mc.tobytes()
-        assert new.mart_sin.tobytes() == Ms.tobytes()
+        assert new.cos_sum.tobytes() == C.tobytes()
+        assert new.sin_sum.tobytes() == S.tobytes()
         # the jumps did work, beside unclamped rows; the clamp did too
         # where sigma reads the field
         assert clamped and np.any(np.isinf(radius))
-        assert not np.array_equal(Mc, state.mart_cos)
+        assert not np.array_equal(C, quiet.cos_sum)
 
     def test_table_lines_are_each_rows_jumps_of_the_step(self, basis):
         # step n's lines, in row order, are each row's own jumps of step n
@@ -1268,21 +1294,23 @@ class TestJumpScatter:
 
         monkeypatch.setattr(fswe.solver, "_coefficient", counted)
         _jump_step(1, "wave", shapes)
-        # the drift reads b = sin once; symmetric atoms: no compensator
+        # the forcing reads b = sin once; symmetric atoms: m1 = 0, so the
+        # forcing reads no sigma
         assert seen.count(np.sin) == 1
         assert seen.count(np.cos) == 1
 
 
 class TestConstantProjections:
-    """A coefficient that ignores its argument has a state-independent
-    projection, computed once per setup and cached on it."""
+    """A forcing that ignores the state is its value b0 - m1 sigma0 times
+    setup.unit_projection, the projection of the field 1, computed once
+    per setup and cached on it."""
 
     @staticmethod
-    def fresh(setup, f, rows=3):
-        # the stacked per-row projection of the coefficient's values
+    def fresh(setup, rows=3):
+        # the stacked per-row projection of the field 1
         basis = setup.basis
         points = basis.grid_size ** basis.dimension
-        return basis.analyze(basis.quad_weights * f(np.zeros((rows, points))))
+        return basis.analyze(basis.quad_weights * np.ones((rows, points)))
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("preset", ["constant", "drift_only", "additive"])
@@ -1290,23 +1318,55 @@ class TestConstantProjections:
         basis = build_basis(d, 8 if d == 1 else 12)
         setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 10,
                            COEFFICIENT_PRESETS[preset])
-        for cached, f in ((setup.drift_projection, setup.pair.b),
-                          (setup.compensator_projection, setup.pair.sigma)):
-            assert cached.shape == (basis.mode_count,)
-            assert not cached.flags.writeable
-            for row in self.fresh(setup, f):
-                assert cached.tobytes() == row.tobytes()
-        assert setup.drift_projection is setup.drift_projection
+        cached = setup.unit_projection
+        assert cached.shape == (basis.mode_count,)
+        assert not cached.flags.writeable
+        for row in self.fresh(setup):
+            assert cached.tobytes() == row.tobytes()
+        assert setup.unit_projection is cached
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("preset", ["constant", "drift_only", "additive"])
+    @pytest.mark.parametrize("spec", [RADEMACHER, ASYMMETRIC])
+    def test_constant_forcing_is_the_unit_projection(self, d, preset, spec):
+        # one step with no jumps from random sums adds exactly
+        # dt cos(omega t_n) (b0 - m1 sigma0) unit_projection, and the same
+        # with sin; sigma0 enters only when m1 != 0
+        basis = build_basis(d, 8 if d == 1 else 12)
+        pair = COEFFICIENT_PRESETS[preset]
+        setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 4, pair)
+        path = dataclasses.replace(
+            sample_path(spec, 1.0, 4, 0, dimension=d,
+                        cells_per_dim=basis.cells_per_dim),
+            jump_times=np.empty(0), jump_positions=np.empty((0, d)),
+            jump_sizes=np.empty(0))
+        rng = np.random.default_rng(d)
+        C, S, u = rng.normal(size=(3, 2, basis.mode_count))
+        n = 2
+        new = step(ModeState(n * setup.dt, C, S, u),
+                   jump_table([path] * 2, setup), n, setup,
+                   np.array([np.inf, 0.5]), None)
+        value = pair.b(0.0) - spec.m1 * pair.sigma(0.0)
+        forcing = float(value) * setup.unit_projection
+        cos_t, sin_t = setup.phases
+        assert new.cos_sum.tobytes() == \
+            (C + setup.dt * cos_t[n] * forcing).tobytes()
+        assert new.sin_sum.tobytes() == \
+            (S + setup.dt * sin_t[n] * forcing).tobytes()
+        # additive with symmetric noise: no forcing, the sums are kept
+        assert np.any(new.cos_sum != C) == (value != 0.0)
 
     def test_non_constant_coefficient_has_none(self, basis):
+        # a forcing that reads the state never projects the field 1
         setup = setup_for(basis, "wave")
-        assert setup.drift_projection is None
-        assert setup.compensator_projection is None
+        solve_rows([path_for(basis, s, spec=ASYMMETRIC) for s in range(2)],
+                   setup, None)
+        assert "unit_projection" not in vars(setup)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_steps_use_the_cache(self, d, monkeypatch):
-        # constant pair, asymmetric atoms: the drift and the compensator
-        # run on every step, and each projects the grid once per setup
+        # constant pair, asymmetric atoms: b and sigma both force every
+        # step, and the field 1 is projected once per setup
         basis = build_basis(d, 8 if d == 1 else 12)
         setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 30,
                            COEFFICIENT_PRESETS["constant"])
@@ -1324,7 +1384,7 @@ class TestConstantProjections:
         monkeypatch.setattr(fswe.basis.EigenBasis, "analyze", counted)
         first = paste_rows(paths, setup, None, N_max=3)
         again = paste_rows(paths, setup, None, N_max=3)
-        assert grid_projections == ["grid", "grid"]
+        assert grid_projections == ["grid"]
         for a, b in zip(first, again):
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
             assert np.any(a.coeffs != 0.0)
@@ -1335,23 +1395,22 @@ class TestConstantProjections:
                              1.0, 10, pair)
                   for d, M in ((1, 16), (1, 128), (2, 16), (2, 64))]
         for setup in setups:
-            for cached in (setup.drift_projection,
-                           setup.compensator_projection):
-                assert cached.shape == (setup.basis.mode_count,)
-                assert cached.tobytes() == self.fresh(setup, pair.b,
-                                                      1)[0].tobytes()
+            cached = setup.unit_projection
+            assert cached.shape == (setup.basis.mode_count,)
+            assert cached.tobytes() == self.fresh(setup, 1)[0].tobytes()
         # a setup made right after another is freed, often at its address,
         # projects on its own basis
         bases = [build_basis(1, M) for M in (16, 128)]
         for i in range(20):
             setup = make_setup(bases[i % 2], 2.0, 1.0, 1.0, 10, pair,
                                C_inf=1.0)
-            assert setup.drift_projection.shape == (bases[i % 2].mode_count,)
+            assert setup.unit_projection.shape == (bases[i % 2].mode_count,)
             del setup
 
 
 class TestQuadratureOfConstants:
-    """A constant coefficient's projection is the trapezoid sum of an odd
+    """The projection of the field 1 (a constant coefficient's forcing per
+    unit value) is the trapezoid sum of an odd
     square wave: per axis sqrt(2) h cot(k pi h / 2) at odd k, h the cell
     width, and zero at even k. That lies about (k pi h)^2 / 12 below the
     exact integral 2 sqrt(2) / (k pi) per axis."""
@@ -1366,7 +1425,7 @@ class TestQuadratureOfConstants:
         basis = build_basis(d, M, grid_size=grid)
         setup = make_setup(basis, 1.0 + d, 0.5 + d / 2.0, 1.0, 10,
                            COEFFICIENT_PRESETS["constant"], C_inf=1.0)
-        projection = setup.drift_projection
+        projection = setup.unit_projection
         k, h = basis.multi_indices, 1.0 / basis.cells_per_dim
         odd = np.all(k % 2 == 1, axis=1)
         cot_sum = np.prod(math.sqrt(2.0) * h / np.tan(k * math.pi * h / 2),
@@ -1423,7 +1482,7 @@ class TestGridTimes:
 
 def _field_step(d, preset, spec, u, radius, seed=5, n=2):
     """One step n of the rows u, shape (rows, M), on one path of spec with
-    two jumps in the step and random accumulators, and the same step of
+    two jumps in the step and random Duhamel sums, and the same step of
     each row alone. Returns (batch state, lone states, recorded arguments
     of the batch step)."""
     basis = build_basis(d, 8 if d == 1 else 12)
@@ -1437,12 +1496,12 @@ def _field_step(d, preset, spec, u, radius, seed=5, n=2):
         jump_times=np.sort(rng.uniform(n * setup.dt, (n + 1) * setup.dt, 2)),
         jump_positions=rng.uniform(0.05, 0.95, (2, d)),
         jump_sizes=np.array([1.5, -0.5]))
-    accumulators = rng.normal(size=(4,) + u.shape)
-    state = ModeState(n * setup.dt, *accumulators, u=u)
+    sums = rng.normal(size=(2,) + u.shape)
+    state = ModeState(n * setup.dt, *sums, u=u)
     new = step(state, jump_table([path] * len(u), setup), n, setup, radius,
                None)
     arguments = {name: list(calls) for name, calls in seen.items()}
-    lone = [step(ModeState(n * setup.dt, *accumulators[:, i:i + 1],
+    lone = [step(ModeState(n * setup.dt, *sums[:, i:i + 1],
                            u=u[i:i + 1]),
                  jump_table([path], setup), n, setup, radius[i:i + 1], None)
             for i in range(len(u))]
@@ -1474,7 +1533,7 @@ class TestZeroRowField:
         radius = np.array([np.inf, 0.05, 2.0, 0.05, np.inf, np.inf, 0.5,
                            3.0])
         new, lone, arguments = _field_step(d, preset, spec, u, radius)
-        for name in ("drift_cos", "drift_sin", "mart_cos", "mart_sin", "u"):
+        for name in ("cos_sum", "sin_sum", "u"):
             batch = getattr(new, name)
             for i, alone in enumerate(lone):
                 alone = getattr(alone, name)[0]
@@ -1482,8 +1541,8 @@ class TestZeroRowField:
         # the zero rows 0, 2, 3, 5 and 7 share one field; the nonzero rows
         # 1 and 4 and the -0.0 row 6 are their own
         assert [len(x) for x in arguments["b"]] == [4]
-        if spec.m1 != 0.0:   # the compensator reads the same split field,
-            # projected with the drift before the jumps
+        if spec.m1 != 0.0:   # the forcing's sigma reads the same split
+            # field, before the jumps
             assert len(arguments["sigma"][0]) == 4
 
     # from zero data: wave rows are zero until their path's first jump,
@@ -1532,9 +1591,9 @@ class TestZeroRowField:
         assert len(b_argument) == 4
         assert np.signbit(u[2]).any() and not np.signbit(u[0]).any()
         for i, alone in enumerate(lone):
-            assert new.mart_cos[i].tobytes() == alone.mart_cos[0].tobytes()
-            assert new.drift_cos[i].tobytes() == alone.drift_cos[0].tobytes()
-        assert np.isnan(new.mart_cos[6]).all()
+            assert new.cos_sum[i].tobytes() == alone.cos_sum[0].tobytes()
+            assert new.sin_sum[i].tobytes() == alone.sin_sum[0].tobytes()
+        assert np.isnan(new.cos_sum[6]).all()
 
     def test_every_level_reaches_b_after_the_first_jump(self):
         # one path at four levels: its rows are bitwise equal until a clamp

@@ -21,7 +21,11 @@ workload shapes, and two more, are rebuilt here from the public API:
   solver; no benchmark workload runs that path;
 - ``d1_constant_tail``: ``d1_tail_suite`` with ``constant`` coefficients:
   the five rows of each replica share its path, and sigma ignores the
-  state, so every row's jump sums are the same terms.
+  state, so every row's jump sums are the same terms;
+- ``d1_asymmetric_tail``: ``d1_tail_suite`` with the asymmetric atoms +1
+  at rate 0.75 and -1 at rate 0.25, whose compensator rate m1 = 0.5 puts
+  sigma into the forcing b - m1 sigma; no benchmark workload runs that
+  path.
 
 Before timing, both sides run two fixed seeds and must give byte-identical
 outputs (CLI files byte for byte, ``runtime_seconds`` of ``summary.json``
@@ -57,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("d1_tail_suite", "d1_stable_ensemble", "d2_stable_simulate",
-             "d1_sine_ensemble", "d1_constant_tail")
+             "d1_sine_ensemble", "d1_constant_tail", "d1_asymmetric_tail")
 CHECK_SEEDS = (11, 12)
 
 _STABLE = {"variant": "stable", "alpha": 1.0, "cutoff": 0.01}
@@ -86,17 +90,17 @@ def load_package(checkout: Path, name: str):
 
 class TailSuite:
     """check_tail_bound at criterion 07's shape, with b=sin and sigma=cos,
-    or with the ``constant`` preset; its output is the report's
-    verdicts."""
+    or with the ``constant`` preset, on Rademacher atoms or on ``atoms``;
+    its output is the report's verdicts."""
 
-    def __init__(self, fswe, constant: bool = False):
+    def __init__(self, fswe, constant: bool = False,
+                 atoms=((1.0, 0.5), (-1.0, 0.5))):
         self.fswe = fswe
         pair = (fswe.COEFFICIENT_PRESETS["constant"] if constant
                 else fswe.CoefficientPair(np.sin, np.cos, 1.0, 1.0, "wave"))
         self.setup = fswe.make_setup(fswe.build_basis(1, 16), 2.0, 1.0, 1.0,
                                      100, pair)
-        self.spec = fswe.LevyMeasureSpec(variant="atoms",
-                                         atoms=((1.0, 0.5), (-1.0, 0.5)))
+        self.spec = fswe.LevyMeasureSpec(variant="atoms", atoms=atoms)
 
     def __call__(self, seed: int):
         return self.fswe.check_tail_bound(self.setup, self.spec,
@@ -194,6 +198,8 @@ def describe_difference(a: list[tuple[str, bytes]],
 def make_workload(name: str, fswe, work: Path):
     if name in ("d1_tail_suite", "d1_constant_tail"):
         return TailSuite(fswe, constant=name == "d1_constant_tail")
+    if name == "d1_asymmetric_tail":
+        return TailSuite(fswe, atoms=((1.0, 0.75), (-1.0, 0.25)))
     work.mkdir(parents=True)
     return CliRun(fswe, work, name)
 
