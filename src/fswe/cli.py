@@ -357,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         if args.command in ("ensemble", "verify") and args.replicas < 1:
             raise ConfigError("--replicas must be >= 1")
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         config = (parse_config(args.config) if args.config is not None
                   else RunConfig())
         if args.command == "simulate":

@@ -203,7 +203,15 @@ def surrogate_tiles(surrogates: Sequence[GaussianSurrogate],
     its std in place: bitwise one (n_steps, n_cells) draw. Tile i is drawn
     into out[i] when out, shape (surrogates, height, n_cells), is given,
     and otherwise into one array that holds every tile; either way a tile
-    is valid until the next one is drawn into its array.
+    is valid until the next one is drawn into its array: without out,
+    until the iterator is advanced again; with out, until the surrogate's
+    next tile.
+
+    The draws run on the thread that advances the iterator. The solver
+    hands each half of a batch's surrogates to its own iterator, one
+    advanced on the solver thread and one on a helper thread
+    (solver._surrogate_rows), so each stream is drawn by one thread in
+    step order.
     """
     height = tile_height(surrogates[0].shape[1])
     streams = [s.generator() for s in surrogates]

@@ -18,14 +18,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import queue
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import EigenBasis, embedding_constant
-from .noise import (LevyMeasureSpec, NoisePath, first_large_jump,
-                    grid_times, surrogate_tiles, tile_height, truncate)
+from .noise import (GaussianSurrogate, LevyMeasureSpec, NoisePath,
+                    first_large_jump, grid_times, surrogate_tiles,
+                    tile_height, truncate)
 
 
 class SolverError(ValueError):
@@ -502,31 +505,48 @@ def _forward(paths: Sequence[NoisePath], setup: SolveSetup,
     the one forward loop of solve_rows and paste_rows. Row i is driven by
     paths[i] and clamped at radius[i]; radius is read at every step, so
     the caller may raise a row's radius between yields. The batch's jump
-    table is built once, before the first step.
+    table is built once, before the first step. Finished, failed or
+    closed, it closes its _surrogate_rows, which stops their helper thread.
     """
     table = jump_table(paths, setup)
     state = ModeState.zero((len(paths), setup.basis.mode_count))
-    for n, surrogate in enumerate(_surrogate_rows(paths, setup)):
-        state = step(state, table, n, setup, radius, surrogate)
-        yield state
+    feed = _surrogate_rows(paths, setup)
+    try:
+        for n, surrogate in enumerate(feed):
+            state = step(state, table, n, setup, radius, surrogate)
+            yield state
+    finally:
+        feed.close()
 
 
 def _surrogate_rows(paths: Sequence[NoisePath],
                     setup: SolveSetup) -> Iterator[tuple | None]:
     """step's surrogate argument at each grid step: (rows, values), the
     rows whose surrogate is live, in row order, and one value row each;
-    None when no surrogate is live.
+    None when no surrogate is live. The value rows are views of one feed
+    that the next window's draws overwrite: each stays valid until the
+    next item is taken.
 
     Each distinct surrogate object is drawn once by noise.surrogate_tiles,
     whatever rows it drives: truncate and _K_driver share a path's
     surrogate, so every K level of a path reads one stream. Each tile
-    fills the surrogate's slot of one (surrogates, height, width) feed.
+    fills the surrogate's slot of one (surrogates, height, width) feed,
+    a window of tile_height steps at a time (_window_fills).
     When sigma reads the state, the slot is the tile itself, the
     increments dW, one (n_cells,) row per step. When it does not
     (_constant), the slot is sigma times the tile's projection, one
     basis.analyze_block product with (M,) rows; the tile height follows
     from the cell count alone, so a row's bytes do not depend on the
     batch. sigma = 0 draws nothing and yields None at every step.
+
+    The streams split into two fixed halves: this thread draws (and
+    projects) the first ceil(s/2) of the s surrogates, and one helper
+    thread the rest, at the same time; both finish a window before its
+    steps are yielded. Each stream is drawn by one thread in step order,
+    so every value is the one a lone draw gives. With one surrogate the
+    second half is empty and no helper is started; otherwise the helper
+    starts at the first window and is stopped and joined when this
+    generator finishes, fails or is closed.
     """
     surrogates = list(dict.fromkeys(
         p.surrogate for p in paths if p.surrogate is not None))
@@ -538,33 +558,86 @@ def _surrogate_rows(paths: Sequence[NoisePath],
         lives = np.array([s.live_steps for s in surrogates])
         ends, last = set(lives.tolist()), int(lives.max())
         basis = setup.basis
-        height, raw = tile_height(basis.cell_count), sigma is None
-        feed = np.empty((len(surrogates), height,
-                         basis.cell_count if raw else basis.mode_count))
-        # a raw tile is drawn straight into its slot of the feed
-        tiles = surrogate_tiles(surrogates, feed if raw else None)
-        for lo in range(0, last, height):
-            # the window's tiles, one per surrogate live at step lo, with
-            # no draw of the next window's: a raw tile is read in place
-            live = np.count_nonzero(lives > lo)
-            for _, i, tile in itertools.islice(tiles, live):
-                if not raw:
-                    basis.analyze_block(tile, "cells", out=feed[i])
-                    if sigma != 1.0:
-                        feed[i] *= sigma
-            for n in range(lo, min(lo + height, last)):
-                if n == 0 or n in ends:   # the live set changes only here
-                    # slot -1, a row with no surrogate, reads a live
-                    # flag it discards
-                    rows = np.flatnonzero((slots >= 0) & (lives[slots] > n))
-                    which = slots[rows]
-                    gather = which.tolist() != list(range(len(surrogates)))
-                    if rows[-1] - rows[0] + 1 == len(rows):
-                        rows = slice(rows[0], rows[-1] + 1)
-                values = feed[:, n - lo]
-                yield rows, values[which] if gather else values
+        height = tile_height(basis.cell_count)
+        feed = np.empty((len(surrogates), height, basis.cell_count
+                         if sigma is None else basis.mode_count))
+        half = -(-len(surrogates) // 2)
+        mine = _window_fills(surrogates[:half], feed[:half], basis, sigma)
+        theirs = (_window_fills(surrogates[half:], feed[half:], basis, sigma)
+                  if half < len(surrogates) else None)
+        my_last, their_last = lives[:half].max(), lives[half:].max(initial=0)
+        windows, done, helper = queue.SimpleQueue(), queue.SimpleQueue(), None
+        try:
+            for lo in range(0, last, height):
+                helped = their_last > lo
+                if helped:
+                    if helper is None:
+                        helper = threading.Thread(
+                            target=_helper_loop, args=(windows, done),
+                            name="fswe-surrogate-draws", daemon=True)
+                        helper.start()
+                    windows.put(theirs)
+                try:
+                    if my_last > lo:
+                        next(mine)
+                finally:
+                    # the helper's window is done before any step runs
+                    error = done.get() if helped else None
+                if error is not None:
+                    raise error
+                for n in range(lo, min(lo + height, last)):
+                    if n == 0 or n in ends:   # the live set changes only here
+                        # slot -1, a row with no surrogate, reads a live
+                        # flag it discards
+                        rows = np.flatnonzero((slots >= 0)
+                                              & (lives[slots] > n))
+                        which = slots[rows]
+                        gather = which.tolist() != list(
+                            range(len(surrogates)))
+                        if rows[-1] - rows[0] + 1 == len(rows):
+                            rows = slice(rows[0], rows[-1] + 1)
+                    values = feed[:, n - lo]
+                    yield rows, values[which] if gather else values
+        finally:
+            if helper is not None:
+                windows.put(None)
+                helper.join()
     for _ in range(last, setup.n_steps):
         yield None
+
+
+def _window_fills(surrogates: Sequence[GaussianSurrogate], feed: np.ndarray,
+                  basis: EigenBasis, sigma: float | None) -> Iterator[None]:
+    """Fill feed[i] with surrogates[i]'s tile of each window of
+    tile_height steps, one window per next(), for the windows up to the
+    last live step: the raw tile drawn in place when sigma is None,
+    otherwise sigma times its projection, drawn into one scratch tile.
+    Only the surrogates live at a window's first step are drawn, so no
+    draw of the next window's happens."""
+    raw = sigma is None
+    tiles = surrogate_tiles(surrogates, feed if raw else None)
+    lives = np.array([s.live_steps for s in surrogates])
+    for lo in range(0, int(lives.max()), feed.shape[1]):
+        for _, i, tile in itertools.islice(tiles,
+                                           np.count_nonzero(lives > lo)):
+            if not raw:
+                basis.analyze_block(tile, "cells", out=feed[i])
+                if sigma != 1.0:
+                    feed[i] *= sigma
+        yield
+
+
+def _helper_loop(windows: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """The helper thread of one _surrogate_rows: advance each window
+    filler it is handed by one window and put None, or the error raised,
+    on done; return at None."""
+    for fills in iter(windows.get, None):
+        try:
+            next(fills)
+        except BaseException as exc:   # re-raised on the solver thread
+            done.put(exc)
+        else:
+            done.put(None)
 
 
 # ---------------------------------------------------------------------------

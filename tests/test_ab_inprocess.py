@@ -66,3 +66,36 @@ def test_differing_outputs_name_the_file(monkeypatch):
     assert "first differing file report" in message
     worst = float(message.split("largest relative difference ")[1].split(",")[0])
     assert worst == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_every_workload_is_checked_before_exit_1(monkeypatch, capsys):
+    # B's tail suite with sigma = cos differs, its constant one does not:
+    # the run reports the first, still checks and times the second, and
+    # only then exits 1
+    tool = _tool()
+    load = tool.load_package
+
+    def loaded(checkout, name):
+        package = load(checkout, name)
+        if name == "fswe_b":
+            suite = package.check_tail_bound
+
+            def perturbed(setup, *args, **kwargs):
+                report = suite(setup, *args, **kwargs)
+                if setup.pair.name == "wave":
+                    report.verdicts[0].observed += 1.0
+                return report
+
+            monkeypatch.setattr(package, "check_tail_bound", perturbed)
+        return package
+
+    monkeypatch.setattr(tool, "load_package", loaded)
+    rc = tool.main(["--a", str(ROOT), "--b", str(ROOT), "--pairs", "1",
+                    "--workload", "d1_tail_suite",
+                    "--workload", "d1_constant_tail"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "d1_tail_suite: outputs differ at seed 11" in out
+    assert "d1_constant_tail: outputs byte-identical" in out
+    assert out.rstrip().endswith("outputs differ on 1 workload(s): "
+                                 "d1_tail_suite")

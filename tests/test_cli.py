@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -324,6 +325,50 @@ class TestCommands:
         assert main(argv) == 2
         assert "--replicas must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    # a large count would start that many processes, so only counts
+    # below one are tried
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["ensemble", "simulate"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers,
+                                        command):
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--replicas",
+                     "2", "--workers", workers, command]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_match_one_process_after_a_threaded_solve(
+            self, tmp_path, monkeypatch):
+        # 4 stable replicas hold 4 surrogate streams, so the first ensemble
+        # draws on a helper thread; the worker processes forked after it
+        # write the bytes of one process
+        payload = dict(BASE, noise=STABLE_NOISE, K_schedule=[1.0, 2.0, 4.0])
+        cfg = write_config(tmp_path, payload)
+        helpers = []
+        helper_loop = fswe.solver._helper_loop
+
+        def counted(*args):
+            helpers.append(threading.get_ident())
+            return helper_loop(*args)
+
+        monkeypatch.setattr(fswe.solver, "_helper_loop", counted)
+        before = threading.active_count()
+        outs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"ens{workers}"
+            assert main(["--config", str(cfg), "--seed", "6", "--out",
+                         str(out), "--replicas", "4", "--workers",
+                         str(workers), "ensemble"]) == 0
+            outs[workers] = out
+            if workers == 1:
+                assert len(helpers) == 1
+                assert threading.active_count() == before
+        for i in range(4):
+            name = f"replica_{i}.csv"
+            assert (outs[1] / name).read_bytes() == \
+                (outs[2] / name).read_bytes()
 
     def test_seed_outside_64_bits_rejected(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "x"), "--seed", str(2**64),

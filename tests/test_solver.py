@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -718,20 +719,119 @@ class TestSurrogateBlocks:
                              dimension=2) for s in range(2)]
         paths = [drawn[0], zero_after(drawn[1], 0.45), truncate(drawn[0], 0.1)]
         assert paths[1].surrogate.live_steps == 5
-        tiles = []
+        # each stream's tiles, by the surrogate object that draws them:
+        # the two streams are drawn by two iterators, on two threads
+        streams = [drawn[0].surrogate, paths[1].surrogate]
+        tiles = {0: [], 1: []}
         surrogate_tiles = fswe.solver.surrogate_tiles
 
         def recorded(surrogates, out=None):
             for lo, i, tile in surrogate_tiles(surrogates, out):
-                tiles.append((lo, i, len(tile)))
+                stream = next(k for k, s in enumerate(streams)
+                              if s is surrogates[i])
+                tiles[stream].append((lo, len(tile)))
                 yield lo, i, tile
 
         monkeypatch.setattr(fswe.solver, "surrogate_tiles", recorded)
         calls = _recorded_surrogates(monkeypatch)
         paste_rows(paths, setup, (1.0, 2.0, 4.0), N_max=2)
-        assert tiles == [(n, i, 1) for n in range(setup.n_steps)
-                         for i in range(2) if i == 0 or n < 5]
+        assert tiles == {0: [(n, 1) for n in range(setup.n_steps)],
+                         1: [(n, 1) for n in range(5)]}
         _check_surrogate_rows(paths, setup, calls)
+
+
+def _recorded_draws(monkeypatch, fail_on=None):
+    """Record each tile surrogate_tiles draws for the solver, as (thread,
+    surrogate, lo); the draw of the tile at step 16 on the thread
+    ``fail_on`` ("solver" or "helper") raises instead."""
+    draws = []
+    surrogate_tiles = fswe.solver.surrogate_tiles
+
+    def recorded(surrogates, out=None):
+        for lo, i, tile in surrogate_tiles(surrogates, out):
+            solver = threading.current_thread() is threading.main_thread()
+            if lo == 16 and fail_on == ("solver" if solver else "helper"):
+                raise RuntimeError(f"{fail_on} draw failed")
+            draws.append((threading.get_ident(), surrogates[i], lo))
+            yield lo, i, tile
+
+    monkeypatch.setattr(fswe.solver, "surrogate_tiles", recorded)
+    return draws
+
+
+def _ensemble_batch(preset, n_paths=16):
+    """A setup at the ensemble's shape, 512 cells with tiles of 16 steps,
+    and n_paths stable paths of 100 steps on it."""
+    basis = build_basis(1, 128)
+    setup = make_setup(basis, 2.0, 1.0, 1.0, 100,
+                       COEFFICIENT_PRESETS[preset])
+    spec = LevyMeasureSpec(variant="stable", alpha=1.0, cutoff=0.01)
+    return setup, [sample_path(spec, 1.0, 100, s,
+                               cells_per_dim=basis.cells_per_dim)
+                   for s in range(n_paths)]
+
+
+class TestSurrogateHelper:
+    """A batch's surrogate streams split into two halves: the solver
+    thread draws the first, one helper thread the rest, and the helper
+    lives no longer than the solve."""
+
+    @pytest.mark.parametrize("preset", ["constant", "sine"])
+    def test_two_threads_each_stream_on_one(self, preset, monkeypatch):
+        setup, paths = _ensemble_batch(preset)
+        paths[11] = zero_after(paths[11], 0.37)   # live for 37 steps
+        draws = _recorded_draws(monkeypatch)
+        solve_rows(paths, setup, None)
+        solver = threading.get_ident()
+        threads = {thread for thread, _, _ in draws}
+        assert len(threads) == 2 and solver in threads
+        for i, p in enumerate(paths):
+            mine = [(thread, lo) for thread, s, lo in draws
+                    if s is p.surrogate]
+            # the first 8 streams on the solver thread, the rest on the
+            # helper, each a tile per window in window order
+            assert len({thread for thread, _ in mine}) == 1, i
+            assert (mine[0][0] == solver) == (i < 8), i
+            assert [lo for _, lo in mine] == list(
+                range(0, p.surrogate.live_steps, 16)), i
+
+    def test_one_stream_starts_no_helper(self, monkeypatch):
+        setup, paths = _ensemble_batch("constant", n_paths=1)
+        draws = _recorded_draws(monkeypatch)
+        # three levels of one path share its one stream
+        paths = [truncate(paths[0], K) for K in (0.5, 1.0, 2.0)]
+        before = threading.active_count()
+        for _ in fswe.solver._forward(paths, setup, np.full(3, np.inf)):
+            assert threading.active_count() == before
+        assert {thread for thread, _, _ in draws} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("end", ["close", "drop", "finish"])
+    def test_helper_ends_with_the_solve(self, end):
+        setup, paths = _ensemble_batch("constant")
+        before = threading.active_count()
+        forward = fswe.solver._forward(paths, setup, np.full(16, np.inf))
+        for n, _ in enumerate(forward):
+            if n == 0:
+                assert threading.active_count() == before + 1
+            if n == 20 and end != "finish":
+                break
+        if end == "close":
+            forward.close()
+        elif end == "drop":
+            del forward   # an abandoned solve, finalized when dropped
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("side", ["helper", "solver"])
+    def test_draw_error_comes_out_of_paste_rows(self, side, monkeypatch):
+        setup, paths = _ensemble_batch("constant")
+        _recorded_draws(monkeypatch, fail_on=side)
+        calls = _recorded_surrogates(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{side} draw failed"):
+            paste_rows(paths, setup, (1.0, 2.0, 4.0, 8.0))
+        assert threading.active_count() == before
+        # the steps of the first window ran, none of the failed window's
+        assert [n for n, _, _ in calls] == list(range(16))
 
 
 def _tile_products(basis):

@@ -19,6 +19,10 @@ workload shapes, and two more, are rebuilt here from the public API:
 - ``d1_sine_ensemble``: ``d1_stable_ensemble`` with ``sine`` coefficients,
   a sigma that reads the state, so the surrogate's raw increments feed the
   solver; no benchmark workload runs that path;
+- ``d2_stable_ensemble``: ``fswe ensemble --replicas 2 --workers 1`` on the
+  ``d2_stable_simulate`` config: two surrogate streams, so the solver draws
+  one on its helper thread, with tiles of one step; no benchmark workload
+  runs that path;
 - ``d1_constant_tail``: ``d1_tail_suite`` with ``constant`` coefficients:
   the five rows of each replica share its path, and sigma ignores the
   state, so every row's jump sums are the same terms;
@@ -31,9 +35,11 @@ Before timing, both sides run two fixed seeds and must give byte-identical
 outputs (CLI files byte for byte, ``runtime_seconds`` of ``summary.json``
 aside). When they differ, the script names the first differing file and
 the largest relative difference between the numbers of the two sides, and
-exits with status 1 without timing; time a change that moves output bytes
-on purpose with perfbench's alternating runs instead. Pair p then runs one call of each side on seed ``seed + p``, A
-first in even pairs and B first in odd ones. The script prints the median
+does not time that workload; after every requested workload has been
+checked, it exits with status 1 if any differed. Time a change that moves
+output bytes on purpose with perfbench's alternating runs instead. Pair p
+then runs one call of each side on seed ``seed + p``, A first in even
+pairs and B first in odd ones. The script prints the median
 of the per-pair time ratios A/B with its quartiles (above 1: B is faster)
 and the number of pairs that B won. Interleaving in one process cancels
 most host-speed drift, so it resolves moves of a few percent that separate
@@ -61,7 +67,8 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("d1_tail_suite", "d1_stable_ensemble", "d2_stable_simulate",
-             "d1_sine_ensemble", "d1_constant_tail", "d1_asymmetric_tail")
+             "d1_sine_ensemble", "d2_stable_ensemble", "d1_constant_tail",
+             "d1_asymmetric_tail")
 CHECK_SEEDS = (11, 12)
 
 _STABLE = {"variant": "stable", "alpha": 1.0, "cutoff": 0.01}
@@ -73,6 +80,14 @@ _CONFIGS = {
 }
 _CONFIGS["d1_sine_ensemble"] = dict(_CONFIGS["d1_stable_ensemble"],
                                     coefficients="sine")
+_CONFIGS["d2_stable_ensemble"] = _CONFIGS["d2_stable_simulate"]
+# replicas of an ensemble shape
+_REPLICAS = {"d1_stable_ensemble": 16, "d1_sine_ensemble": 16,
+             "d2_stable_ensemble": 2}
+
+
+class OutputsDiffer(SystemExit):
+    """The two sides wrote different outputs for one workload."""
 
 
 def load_package(checkout: Path, name: str):
@@ -124,8 +139,9 @@ class CliRun:
         self.config = work / f"{name}.json"
         self.config.write_text(json.dumps(config))
         self.out = work / "out"
-        self.command = (["--replicas", "16", "--workers", "1", "ensemble"]
-                        if name.endswith("_ensemble") else ["simulate"])
+        self.command = (["--replicas", str(_REPLICAS[name]), "--workers",
+                         "1", "ensemble"] if name in _REPLICAS
+                        else ["simulate"])
 
     def __call__(self, seed: int):
         shutil.rmtree(self.out, ignore_errors=True)
@@ -213,15 +229,16 @@ def timed(run, seed: int) -> float:
 
 def compare(packages, workload: str, pairs: int, seed: int) -> dict:
     """Check the outputs of the two packages (A, B) on CHECK_SEEDS, then
-    time ``pairs`` alternating pairs; print and return the summary."""
+    time ``pairs`` alternating pairs; print and return the summary. Raises
+    OutputsDiffer, naming the difference, when the outputs differ."""
     with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as tmp:
         runs = [make_workload(workload, fswe, Path(tmp) / fswe.__name__)
                 for fswe in packages]
         for s in CHECK_SEEDS:
             outputs = [run.output(run(s)) for run in runs]
             if outputs[0] != outputs[1]:
-                raise SystemExit(f"{workload}: outputs differ at seed {s}: "
-                                 + describe_difference(*outputs))
+                raise OutputsDiffer(f"{workload}: outputs differ at seed "
+                                    f"{s}: " + describe_difference(*outputs))
         ratios = []
         for p in range(pairs):
             order = (0, 1) if p % 2 == 0 else (1, 0)
@@ -255,8 +272,17 @@ def main(argv: list[str] | None = None) -> int:
         p.error("--pairs must be >= 1")
     packages = (load_package(args.a, "fswe_a"),
                 load_package(args.b, "fswe_b"))
+    differing = []
     for workload in args.workload or WORKLOADS:
-        compare(packages, workload, args.pairs, args.seed)
+        try:
+            compare(packages, workload, args.pairs, args.seed)
+        except OutputsDiffer as differ:
+            print(differ.code, flush=True)
+            differing.append(workload)
+    if differing:
+        print(f"outputs differ on {len(differing)} workload(s): "
+              f"{', '.join(differing)}")
+        return 1
     return 0
 
 
